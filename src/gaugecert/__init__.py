@@ -40,11 +40,8 @@ from .exactnum import (
     HJExpansion,
     cot_cot_sin2_sum,
     crt_solve,
-    cyclo_make_cot_cot_sin2,
     cyclotomic_poly,
-    float_oracle_sum,
     hj_expand,
-    rational_extract,
 )
 from .index import (
     BoundaryTerm,

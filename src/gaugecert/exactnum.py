@@ -11,13 +11,16 @@ On top of that this module provides:
 
       sum_{k=1}^{a-1} cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a)
 
-  both term by term in Q(zeta_a) (:func:`cyclo_make_cot_cot_sin2`) and as
-  a whole sum via an integer convolution identity (:func:`cot_cot_sin2_sum`);
+  in O(log a) integer steps, by finite Fourier duality with a sawtooth
+  convolution and a Euclid-style floor-sum recursion
+  (:func:`cot_cot_sin2_sum`);
 * a deterministic solver for  (a_1...a_n) * sum_i b_i/a_i = d  with
   pairwise coprime moduli (:func:`crt_solve`);
-* Hirzebruch-Jung (minus-sign) continued fractions (:func:`hj_expand`);
-* a high precision floating point oracle for the cotangent sums, used only
-  to cross-check the exact path in tests (:func:`float_oracle_sum`).
+* Hirzebruch-Jung (minus-sign) continued fractions (:func:`hj_expand`).
+
+The independent oracles for the cotangent sums (the direct O(a) sawtooth
+sum, the term-by-term evaluation in Q(zeta_a) and an mpmath float sum)
+live with the tests, not here.
 
 Everything here is immutable and side-effect free; the only shared state
 is the memo table for cyclotomic polynomials, which is guarded by
@@ -27,30 +30,21 @@ is the memo table for cyclotomic polynomials, which is guarded by
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-import mpmath
-import numpy as np
-
-from .errors import BadParameters, NonRational, NoSolution
+from .errors import BadParameters, InternalCheckError, NoSolution
 
 __all__ = [
     "CycloElement",
     "HJExpansion",
     "cot_cot_sin2_sum",
     "crt_solve",
-    "cyclo_from_rational",
-    "cyclo_make_cot_cot_sin2",
-    "cyclo_zeta_power",
     "cyclotomic_poly",
     "euler_phi",
-    "float_oracle_sum",
     "hj_expand",
-    "rational_extract",
     "xgcd",
 ]
 
@@ -325,70 +319,82 @@ def _poly_sub_q(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# exact cotangent summands and sums
+# exact cotangent sums
 # ---------------------------------------------------------------------------
 
-def cyclo_make_cot_cot_sin2(a: int, k: int, b: int, l: int) -> CycloElement:
-    """The summand cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a) in Q(zeta_a).
+def _floor_sums(p: int, q: int, r: int, n: int) -> tuple[int, int, int]:
+    """(sum f_i, sum i f_i, sum f_i^2) over i = 0..n, f_i = floor((p i + q)/r),
+    for p, q, n >= 0 and r >= 1, in O(log r) steps.
 
-    Uses cot(pi m/a) = i (zeta^m + 1)/(zeta^m - 1) and
-    sin^2(theta) = (2 - zeta^m - zeta^(-m))/4 for theta = pi m/a, so the
-    product is
-
-        -(zeta^k + 1)(zeta^(kb) + 1)(2 - zeta^(kl) - zeta^(-kl))
-        / (4 (zeta^k - 1)(zeta^(kb) - 1)),
-
-    the two factors of i cancelling into the leading sign.
+    Each level first splits off the integer parts p // r and q // r, then
+    counts lattice points under the line the other way round, which swaps
+    the roles of p and r as in Euclid's algorithm; the levels are recorded
+    on the way down and combined on the way back up.
     """
-    if a < 2:
-        raise BadParameters("order a must be at least 2")
-    if k % a == 0:
-        raise BadParameters("cot(pi k/a) has a pole at k = 0 mod a")
-    if gcd(b, a) != 1:
-        raise BadParameters(f"b = {b} is not coprime to a = {a}")
-    one = CycloElement.from_rational(a, 1)
-    two = CycloElement.from_rational(a, 2)
-    zk = CycloElement.zeta(a, k)
-    zkb = CycloElement.zeta(a, k * b)
-    zkl = CycloElement.zeta(a, k * l)
-    zkl_inv = CycloElement.zeta(a, -k * l)
-    num = -((zk + one) * (zkb + one) * (two - zkl - zkl_inv))
-    den = ((zk - one) * (zkb - one)).scale(4)
-    return num / den
+    levels = []
+    while True:
+        qp, p = divmod(p, r)
+        qq, q = divmod(q, r)
+        m = (p * n + q) // r  # the largest reduced floor
+        levels.append((n, qp, qq, m))
+        if m == 0:
+            break
+        p, q, r, n = r, r - q - 1, p, m - 1
+    f = g = h = 0
+    for n, qp, qq, m in reversed(levels):
+        if m:
+            f, g, h = n * m - f, (m * n * (n + 1) - h - f) // 2, n * m * m - 2 * g - f
+        s1 = n * (n + 1) // 2
+        s2 = s1 * (2 * n + 1) // 3
+        f, g, h = (
+            f + qp * s1 + qq * (n + 1),
+            g + qp * s2 + qq * s1,
+            h + 2 * qq * f + 2 * qp * g + qp * qp * s2 + qq * qq * (n + 1) + 2 * qp * qq * s1,
+        )
+    return f, g, h
 
 
-def rational_extract(x: CycloElement) -> Fraction:
-    """The value of x as a rational number.
+def _sawtooth_convolution(a: int, c: int, m: int) -> int:
+    """E(m) = sum_{n=1}^{a-1} s(n) s(c (m - n)), s(x) = 2 (x mod a) - a and
+    s(x) = 0 when a | x.
 
-    Raises :class:`NonRational` if any non-constant coefficient of the
-    canonical representation is nonzero.  For the sums computed in this
-    package that would indicate an arithmetic bug, never a legitimate
-    outcome (the full sums are Galois invariant).
+    With c' = -c mod a and u = c m mod a, the residue of c (m - n) is
+    y_n = c' n + u - a floor((c' n + u)/a).  For n = 1..a-1 it takes every
+    residue except u, and it is 0 only at n = m mod a.  Expanding
+    (2n - a)(2 y_n - a) leaves closed forms and the single floor sum
+    sum_{n<a} n floor((c' n + u)/a).
     """
-    if not x.is_rational():
-        raise NonRational(f"cyclotomic element of order {x.order} is not rational: {x.coeffs}")
-    return x.coeffs[0] if x.coeffs else Fraction(0)
-
-
-# object-dtype threshold: coefficients are bounded by 32 a^3, which must fit in int64
-_INT64_SAFE_ORDER = 600_000
+    m %= a
+    cp = -c % a
+    u = c * m % a
+    g = _floor_sums(cp, u, a, a - 1)[1]
+    out = 2 * cp * (a - 1) * a * (2 * a - 1) // 3 - a * a * (a - 1) + 2 * a * a * u - 4 * a * g
+    if m:
+        out += a * (2 * m - a)  # at n = m the true term is s(n) s(0) = 0, not -a s(n)
+    return out
 
 
 def cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
     """Exactly sum_{k=1}^{a-1} cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a).
 
-    Works in the group ring Z[x]/(x^a - 1): for x = zeta^k with k nonzero,
-    1/(x - 1) = S(x)/a where S = sum_{j<a} j x^j, so every summand is the
-    value at zeta^k of the one fixed polynomial
+    By finite Fourier duality, cot(pi k/a) = (i/a) sum_n s(n) zeta^(kn)
+    for k != 0 mod a, with the sawtooth s(x) = 2 (x mod a) - a (s = 0 when
+    a | x).  The cot-cot product is then the transform of a cyclic
+    convolution, the sin^2 factor picks two of its values, and
 
-        P = -(x + 1)(x^b + 1)(2 - x^l - x^(a-l)) S(x) S(x^b) / (4 a^2).
+        S = (E(l) - E(0)) / (2a),   E(m) = sum_{n=1}^{a-1} s(n) s(c (m - n)),
 
-    Averaging over all a-th roots of unity extracts a * (coefficient of
-    x^0), and the k = 0 term vanishes because (2 - x^l - x^(-l)) does at
-    x = 1; the whole sum collapses to a single exact integer convolution.
+    with c = b^(-1) mod a.  Each E(m) is a Dedekind-Rademacher sum,
+    reduced to one floor sum and computed in O(log a) integer steps by a
+    recursion that runs like Euclid's algorithm (Rademacher-Grosswald,
+    *Dedekind Sums*, 1972; Knuth, TAOCP vol. 2, 3.3.3).  E is even because
+    s is odd; E(a - l), a different floor sum, is computed on every call
+    and must equal E(l), else :class:`InternalCheckError` is raised.
 
     Requires gcd(b, a) = 1; l is reduced mod a and the sum is 0 for
-    l = 0 mod a.
+    l = 0 mod a.  The tests check this route against three independent
+    oracles: the direct O(a) sum for E(m), the term-by-term evaluation in
+    Q(zeta_a), and an mpmath float sum.
     """
     if a < 1:
         raise BadParameters("a must be positive")
@@ -398,20 +404,11 @@ def cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
         return Fraction(0)
     if gcd(b, a) != 1:
         raise BadParameters(f"b = {b} is not coprime to a = {a}")
-    dtype = np.int64 if a <= _INT64_SAFE_ORDER else object
-    idx = (b * np.arange(a, dtype=np.int64)) % a  # indices stay well inside int64
-    j = np.arange(a, dtype=dtype)
-    s = j.copy()
-    sb = np.zeros(a, dtype=dtype)
-    sb[idx] = j
-    full = np.convolve(s, sb)
-    t = full[:a].copy()
-    t[: a - 1] += full[a:]
-    t = t + np.roll(t, 1)
-    t = t + np.roll(t, b)
-    t = 2 * t - np.roll(t, l) - np.roll(t, -l)
-    assert int(t.sum()) == 0  # P(1) = 0: the k = 0 term contributes nothing
-    return Fraction(-int(t[0]), 4 * a)
+    c = inverse_mod(b, a)
+    e_l = _sawtooth_convolution(a, c, l)
+    if e_l != _sawtooth_convolution(a, c, a - l):
+        raise InternalCheckError(f"sawtooth convolution not even at a = {a}, b = {b}, l = {l}")
+    return Fraction(e_l - _sawtooth_convolution(a, c, 0), 2 * a)
 
 
 # ---------------------------------------------------------------------------
@@ -517,35 +514,3 @@ def hj_expand(a: int, b: int) -> HJExpansion:
     exp = HJExpansion(a, b, tuple(terms))
     assert exp.value() == Fraction(a, b)
     return exp
-
-
-# ---------------------------------------------------------------------------
-# floating point oracle
-# ---------------------------------------------------------------------------
-
-#: Environment variable overriding the oracle's working precision in bits.
-ORACLE_PREC_ENV = "GAUGECERT_ORACLE_BITS"
-
-
-def float_oracle_sum(a: int, b: int, l: int, prec_bits: int | None = None) -> mpmath.mpf:
-    """(4/a) sum_{k=1}^{a-1} cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a), in
-    floating point with at least a 128-bit mantissa.
-
-    Error bound: every factor is computed to the working precision p, each
-    summand has magnitude at most (a/2)^2, and there are a - 1 summands, so
-    the absolute error is below a^3 * 2^(3-p).  At the default p = 128 and
-    a <= 60 this is under 2^(-107), far inside the 2^(-64) tolerance the
-    exact path is tested against.  This routine exists only as an
-    independent oracle; all reported results come from exact arithmetic.
-    """
-    if prec_bits is None:
-        prec_bits = int(os.environ.get(ORACLE_PREC_ENV, "128"))
-    prec_bits = max(prec_bits, 128)
-    if gcd(b, a) != 1:
-        raise BadParameters(f"b = {b} is not coprime to a = {a}")
-    with mpmath.workprec(prec_bits):
-        pi_a = mpmath.pi / a
-        total = mpmath.mpf(0)
-        for k in range(1, a):
-            total += mpmath.cot(pi_a * k) * mpmath.cot(pi_a * ((k * b) % a)) * mpmath.sin(pi_a * ((k * l) % a)) ** 2
-        return 4 * total / a

@@ -344,7 +344,8 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
         if s.knotted:
             bhat = s.b % s.a
             sig = lt_signature(s.seifert_matrix, s.a, bhat)
-            assert sig == lt_signature(s.seifert_matrix, s.a, s.a - bhat)  # conjugation symmetry
+            if sig != lt_signature(s.seifert_matrix, s.a, s.a - bhat):
+                raise InternalCheckError(f"signature of knot {s.knot} at {bhat}/{s.a} breaks conjugation symmetry")
             sig_sum += sig
     if ind != r_value + sig_sum:
         raise InternalCheckError(

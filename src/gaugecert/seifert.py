@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BadParameters
+from .errors import BadParameters, InternalCheckError
 from .exactnum import inverse_mod
 
 __all__ = [
@@ -147,5 +147,7 @@ def torus_knot_surgery(p: int, q: int, d: int, n: int) -> SeifertData:
         raise BadParameters(f"gcd({d}, {n}) != 1")
     r, s = _min_abs_solution(p, q)
     out = SeifertData(((p, r), (q, s), (p * q * n - d, n)))
-    assert d_invariant(out) == d
+    d_out = d_invariant(out)
+    if d_out != d:
+        raise InternalCheckError(f"surgery data {out} has d = {d_out}, expected {d}")
     return out

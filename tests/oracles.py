@@ -1,0 +1,111 @@
+"""Independent oracles for the exact cotangent sums, used only by the tests.
+
+The library evaluates
+
+    S(a, b, l) = sum_{k=1}^{a-1} cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a)
+
+by a floor-sum recursion (:func:`gaugecert.cot_cot_sin2_sum`).  The routes
+here share none of that code:
+
+* :func:`sawtooth_convolution` -- the O(a) integer sum E(m) that the
+  recursion evaluates in O(log a), term by term;
+* :func:`cyclo_make_cot_cot_sin2` and :func:`rational_extract` -- each
+  summand exactly in Q(zeta_a);
+* :func:`float_oracle_sum` -- the sum in mpmath floating point.
+"""
+
+from __future__ import annotations
+
+import os
+from fractions import Fraction
+from math import gcd
+
+import mpmath
+
+from gaugecert import BadParameters, CycloElement, NonRational
+
+
+def sawtooth_convolution(a: int, c: int, m: int) -> int:
+    """E(m) = sum_{n=1}^{a-1} s(n) s(c (m - n)), s(x) = 2 (x mod a) - a,
+    s(x) = 0 when a | x; then S(a, b, l) = (E(l) - E(0)) / (2a) with
+    c = b^(-1) mod a."""
+
+    def s(x: int) -> int:
+        x %= a
+        return 2 * x - a if x else 0
+
+    return sum(s(n) * s(c * (m - n)) for n in range(1, a))
+
+
+def sawtooth_sum(a: int, b: int, l: int) -> Fraction:
+    """S(a, b, l) in O(a) integer steps; requires a >= 2 and gcd(b, a) = 1."""
+    c = pow(b, -1, a)
+    return Fraction(sawtooth_convolution(a, c, l) - sawtooth_convolution(a, c, 0), 2 * a)
+
+
+def cyclo_make_cot_cot_sin2(a: int, k: int, b: int, l: int) -> CycloElement:
+    """The summand cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a) in Q(zeta_a).
+
+    Uses cot(pi m/a) = i (zeta^m + 1)/(zeta^m - 1) and
+    sin^2(theta) = (2 - zeta^m - zeta^(-m))/4 for theta = pi m/a, so the
+    product is
+
+        -(zeta^k + 1)(zeta^(kb) + 1)(2 - zeta^(kl) - zeta^(-kl))
+        / (4 (zeta^k - 1)(zeta^(kb) - 1)),
+
+    the two factors of i cancelling into the leading sign.
+    """
+    if a < 2:
+        raise BadParameters("order a must be at least 2")
+    if k % a == 0:
+        raise BadParameters("cot(pi k/a) has a pole at k = 0 mod a")
+    if gcd(b, a) != 1:
+        raise BadParameters(f"b = {b} is not coprime to a = {a}")
+    one = CycloElement.from_rational(a, 1)
+    two = CycloElement.from_rational(a, 2)
+    zk = CycloElement.zeta(a, k)
+    zkb = CycloElement.zeta(a, k * b)
+    zkl = CycloElement.zeta(a, k * l)
+    zkl_inv = CycloElement.zeta(a, -k * l)
+    num = -((zk + one) * (zkb + one) * (two - zkl - zkl_inv))
+    den = ((zk - one) * (zkb - one)).scale(4)
+    return num / den
+
+
+def rational_extract(x: CycloElement) -> Fraction:
+    """The value of x as a rational number.
+
+    Raises :class:`NonRational` if any non-constant coefficient of the
+    canonical representation is nonzero.  For the full cotangent sums that
+    would indicate an arithmetic bug (they are Galois invariant).
+    """
+    if not x.is_rational():
+        raise NonRational(f"cyclotomic element of order {x.order} is not rational: {x.coeffs}")
+    return x.coeffs[0] if x.coeffs else Fraction(0)
+
+
+#: Environment variable overriding the oracle's working precision in bits.
+ORACLE_PREC_ENV = "GAUGECERT_ORACLE_BITS"
+
+
+def float_oracle_sum(a: int, b: int, l: int, prec_bits: int | None = None) -> mpmath.mpf:
+    """(4/a) sum_{k=1}^{a-1} cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a), in
+    floating point with at least a 128-bit mantissa.
+
+    Error bound: every factor is computed to the working precision p, each
+    summand has magnitude at most (a/2)^2, and there are a - 1 summands, so
+    the absolute error is below a^3 * 2^(3-p).  At the default p = 128 and
+    a <= 60 this is under 2^(-107), far inside the 2^(-64) tolerance the
+    exact path is tested against.
+    """
+    if prec_bits is None:
+        prec_bits = int(os.environ.get(ORACLE_PREC_ENV, "128"))
+    prec_bits = max(prec_bits, 128)
+    if gcd(b, a) != 1:
+        raise BadParameters(f"b = {b} is not coprime to a = {a}")
+    with mpmath.workprec(prec_bits):
+        pi_a = mpmath.pi / a
+        total = mpmath.mpf(0)
+        for k in range(1, a):
+            total += mpmath.cot(pi_a * k) * mpmath.cot(pi_a * ((k * b) % a)) * mpmath.sin(pi_a * ((k * l) % a)) ** 2
+        return 4 * total / a

@@ -31,7 +31,6 @@ from gaugecert import (
     detect_orthogonal_split,
     enumerate_C_e,
     enumerate_C_e_bruteforce,
-    float_oracle_sum,
     gram_determinant,
     hj_expand,
     ind_plus_seifert_qhs,
@@ -43,6 +42,8 @@ from gaugecert import (
     rho_lens,
     torus_knot_surgery,
 )
+
+from oracles import float_oracle_sum
 
 
 def _announce(number: int, description: str, started: float) -> None:

@@ -16,6 +16,10 @@ def test_rho_lens():
     r = run("rho-lens", "3", "1", "1")
     assert r.returncode == 0
     assert json.loads(r.stdout) == {"value": "2/3"}
+    r = run("rho-lens", "1000000000039", "3", "5")
+    assert r.returncode == 0
+    num, den = json.loads(r.stdout)["value"].split("/")
+    assert int(den) > 0 and int(num) != 0
 
 
 def test_r_invariant():
@@ -137,6 +141,13 @@ def test_selftest():
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["ok"] is True and out["checked"]["nz_identity_pairs"] > 0
+
+
+def test_selftest_optimized():
+    # -O strips asserts; the internal checks must not depend on them
+    r = subprocess.run([sys.executable, "-O", "-m", "gaugecert.cli", "selftest"], capture_output=True, text=True)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["ok"] is True
 
 
 def test_exit_code_internal_consistency(monkeypatch):

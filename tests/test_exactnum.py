@@ -10,17 +10,24 @@ import pytest
 from gaugecert import (
     BadParameters,
     CycloElement,
+    InternalCheckError,
     NonRational,
     NoSolution,
     cot_cot_sin2_sum,
     crt_solve,
-    cyclo_make_cot_cot_sin2,
     cyclotomic_poly,
-    float_oracle_sum,
     hj_expand,
-    rational_extract,
 )
-from gaugecert.exactnum import euler_phi
+from gaugecert.exactnum import _sawtooth_convolution, euler_phi
+
+from oracles import (
+    ORACLE_PREC_ENV,
+    cyclo_make_cot_cot_sin2,
+    float_oracle_sum,
+    rational_extract,
+    sawtooth_convolution,
+    sawtooth_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +143,40 @@ def test_engine_trivial_cases():
         cot_cot_sin2_sum(6, 2, 1)
 
 
-def test_engine_object_dtype_fallback(monkeypatch):
+def test_engine_matches_sawtooth_oracle():
+    # the O(log a) floor-sum route against the direct O(a) sawtooth sum,
+    # for the convolution values E(m) and for the whole sum
+    rng = random.Random(17)
+    checked = 0
+    while checked < 300:
+        a = rng.randint(2, 2000)
+        b = rng.randint(-3 * a, 3 * a)
+        if gcd(a, b) != 1:
+            continue
+        l = rng.choice([rng.randint(-3 * a, -1), rng.randint(a, 3 * a)])
+        c = pow(b, -1, a)
+        for m in (0, l):
+            assert _sawtooth_convolution(a, c, m) == sawtooth_convolution(a, c, m), (a, b, m)
+        assert cot_cot_sin2_sum(a, b, l) == sawtooth_sum(a, b, l), (a, b, l)
+        checked += 1
+    for a, b, l in ((100003, 3, 5), (300007, -7, 300010)):
+        assert cot_cot_sin2_sum(a, b, l) == sawtooth_sum(a, b, l), (a, b, l)
+
+
+def test_engine_large_order_closed_form():
+    # Neumann-Zagier: (2/a) S(a, c, 1) = 2 c*/a - 1 with c c* = -1 mod a
+    from gaugecert import nz_closed_form
+
+    for a, c in ((10**12 + 39, 3), (10**12 + 39, -10**6), (2**89 - 1, 5**20)):
+        assert Fraction(2, a) * cot_cot_sin2_sum(a, c, 1) == nz_closed_form(a, c)
+
+
+def test_engine_evenness_check(monkeypatch):
     import gaugecert.exactnum as ex
 
-    reference = {(a, b, l): ex.cot_cot_sin2_sum(a, b, l) for a in (5, 12, 30) for b, l in ((1, 1), (a - 1, 2))}
-    monkeypatch.setattr(ex, "_INT64_SAFE_ORDER", 1)
-    for (a, b, l), val in reference.items():
-        assert ex.cot_cot_sin2_sum(a, b, l) == val
+    monkeypatch.setattr(ex, "_sawtooth_convolution", lambda a, c, m: m)
+    with pytest.raises(InternalCheckError):
+        ex.cot_cot_sin2_sum(7, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +284,6 @@ def test_oracle_vs_exact_random():
 
 
 def test_oracle_precision_env(monkeypatch):
-    from gaugecert.exactnum import ORACLE_PREC_ENV
-
     monkeypatch.setenv(ORACLE_PREC_ENV, "192")
     assert _oracle_close(float_oracle_sum(7, 2, 3), Fraction(4, 7) * cot_cot_sin2_sum(7, 2, 3))
     # values below 128 bits are clamped up to the documented minimum

@@ -93,6 +93,16 @@ def test_surgery_config_figure8():
     assert any("denominator 24" in note for note in r.provenance)
 
 
+def test_surgery_config_conjugation_check(monkeypatch):
+    # a signature that differs at conjugate holonomies is an internal failure
+    import gaugecert.obstruct as obstruct
+
+    monkeypatch.setattr(obstruct, "lt_signature", lambda V, a, b: b)
+    strands = (Strand(2, 1), Strand(3, -1, knot="figure8"), Strand(11, -2))
+    with pytest.raises(InternalCheckError, match="conjugation symmetry"):
+        check_surgery_config(strands)
+
+
 def test_surgery_config_unknown_knot_inconclusive():
     # a knotted strand with no Chern-Simons profile cannot be certified
     strands = (Strand(2, 1), Strand(3, -1, knot="trefoil"), Strand(11, -2))
@@ -126,6 +136,13 @@ def test_family_main_example():
     assert r.line("p_1").value == str(Fraction(7, 15 * (15 * n_last - 7)))
     assert r.line("reducible restriction class").value == "((1, 0, 0),)"
     assert r.line("reducible count parity").value == "odd"
+
+
+def test_family_large_orders():
+    # a_3 = 15 (7^8 - 1) - 7, about 8.6e7: the cotangent sums in the index
+    # check are evaluated exactly at this order
+    r = check_sfqhs_family(3, 5, 7, [7**k - 1 for k in range(1, 9)])
+    assert r.conclusion == INDEPENDENT
 
 
 def test_family_guards():

@@ -7,6 +7,7 @@ import pytest
 
 from gaugecert import (
     BadParameters,
+    InternalCheckError,
     SeifertData,
     check_h1_z2,
     d_invariant,
@@ -47,6 +48,14 @@ def test_torus_knot_surgery_examples():
         torus_knot_surgery(3, 5, 7, -2)
     with pytest.raises(BadParameters):
         torus_knot_surgery(4, 6, 1, 3)
+
+
+def test_torus_knot_surgery_d_check(monkeypatch):
+    import gaugecert.seifert as seifert
+
+    monkeypatch.setattr(seifert, "d_invariant", lambda S: 0)
+    with pytest.raises(InternalCheckError):
+        torus_knot_surgery(3, 5, 7, 6)
 
 
 def test_torus_knot_surgery_d_grid():
