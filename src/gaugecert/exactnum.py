@@ -6,7 +6,8 @@ On top of that this module provides:
 
 * exact arithmetic in the cyclotomic field Q(zeta_a), with elements
   represented in the power basis 1, zeta, ..., zeta^(phi(a)-1) modulo the
-  a-th cyclotomic polynomial (:class:`CycloElement`);
+  a-th cyclotomic polynomial (:class:`CycloElement`); elements with integer
+  coefficients stay in the ring Z[zeta_a] under every ring operation;
 * exact evaluation of the cotangent sums
 
       sum_{k=1}^{a-1} cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a)
@@ -160,6 +161,12 @@ class CycloElement:
     ``coeffs`` has length phi(order) and lists the coordinates in the power
     basis 1, zeta, ..., zeta^(phi(a)-1); the representation is canonical,
     so equality of elements is equality of coefficient tuples.
+
+    Coefficients are ``int`` or :class:`~fractions.Fraction`.  Integer
+    coefficients mean the element lies in the ring Z[zeta_a], and the ring
+    operations (``zeta``, ``from_rational`` of an int, ``scale`` by an int,
+    ``+``, ``-``, ``*``, ``galois``) keep them integers; only
+    :meth:`inverse` and ``/`` leave Z[zeta_a] for Q(zeta_a).
     """
 
     order: int
@@ -173,18 +180,18 @@ class CycloElement:
 
     @staticmethod
     def zero(order: int) -> "CycloElement":
-        return CycloElement(order, (Fraction(0),) * euler_phi(order))
+        return CycloElement(order, (0,) * euler_phi(order))
 
     @staticmethod
     def from_rational(order: int, value) -> "CycloElement":
-        c = [Fraction(0)] * euler_phi(order)
-        c[0] = Fraction(value)
+        c = [0] * euler_phi(order)
+        c[0] = value if isinstance(value, int) else Fraction(value)
         return CycloElement(order, tuple(c))
 
     @staticmethod
     def zeta(order: int, exponent: int = 1) -> "CycloElement":
         table = _zeta_power_table(order)
-        return CycloElement(order, tuple(Fraction(c) for c in table[exponent % order]))
+        return CycloElement(order, table[exponent % order])
 
     # -- ring / field operations -------------------------------------------
 
@@ -204,18 +211,19 @@ class CycloElement:
         return CycloElement(self.order, tuple(-x for x in self.coeffs))
 
     def scale(self, r) -> "CycloElement":
-        r = Fraction(r)
+        if not isinstance(r, int):
+            r = Fraction(r)
         return CycloElement(self.order, tuple(r * x for x in self.coeffs))
 
     def __mul__(self, other: "CycloElement") -> "CycloElement":
         self._check(other)
         n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1 if n else 1)
+        prod = [0] * (2 * n - 1 if n else 1)
+        ys = [(j, y) for j, y in enumerate(other.coeffs) if y]
         for i, x in enumerate(self.coeffs):
             if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        prod[i + j] += x * y
+                for j, y in ys:
+                    prod[i + j] += x * y
         table = _zeta_power_table(self.order)
         out = list(prod[:n])
         for m in range(n, len(prod)):
@@ -227,11 +235,12 @@ class CycloElement:
         return CycloElement(self.order, tuple(out))
 
     def inverse(self) -> "CycloElement":
-        """Field inverse, via the extended Euclidean algorithm against Phi_a."""
+        """Field inverse, via the extended Euclidean algorithm against Phi_a
+        over Q (integer coefficients are converted to Fraction on entry)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         phi = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        r0, r1 = phi, _trim(list(self.coeffs))
+        r0, r1 = phi, _trim([Fraction(c) for c in self.coeffs])
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while r1:
             q, r = _poly_divmod_q(r0, r1)
@@ -259,7 +268,7 @@ class CycloElement:
         if gcd(t % a, a) != 1:
             raise BadParameters(f"zeta -> zeta^{t} is not an automorphism of Q(zeta_{a})")
         table = _zeta_power_table(a)
-        out = [Fraction(0)] * len(self.coeffs)
+        out = [0] * len(self.coeffs)
         for i, c in enumerate(self.coeffs):
             if c:
                 for j, u in enumerate(table[(i * t) % a]):

@@ -5,15 +5,21 @@ from a Seifert matrix V (square integer, V - V^T unimodular):
 
 * nondegeneracy of the flat connection on a/b surgery, which holds iff
   the Alexander polynomial does not vanish at exp(2 pi i b/a); evaluation
-  is exact, in Q(zeta_a);
+  is exact, in Z[zeta_a];
 * the Levine-Tristram signature sigma_omega = sign((1-omega) V +
   (1-conj omega) V^T) at omega = zeta_a^(-b), which corrects rho under the
   flat cobordism to a lens space.
 
-The signature is computed over Q(zeta_a) by Hermitian elimination: every
-pivot is an exact field element, an exactly-zero pivot triggers symmetric
-or 2x2 block pivoting, and the sign of each (exactly nonzero, real) pivot
-is certified by interval arithmetic at adaptive precision.  If the form is
+The signature is computed in the ring Z[zeta_a] by division-free
+Hermitian elimination (Bareiss's fraction-free elimination, *Math. Comp.*
+22, 1968, without the exact division by the previous pivot): every entry
+stays an integer combination of powers of zeta, a diagonal pivot p scales
+the remaining block by the real number p and a 2x2 block
+[[0, u], [conj u, 0]] scales it by u conj u > 0, so the signature is
+tracked through the signs of the pivots alone.  The sign of each (exactly
+nonzero, real) pivot is certified at adaptive precision from outward-
+rounded bounds on cos and sin, computed in a private mpmath interval
+context, so no global mpmath state is read or changed.  If the form is
 singular -- equivalently, omega is a root of the Alexander polynomial --
 :class:`~gaugecert.errors.SingularPivot` is raised; that degenerate case
 must be handled by the caller, never silently signed.
@@ -25,16 +31,17 @@ built-in catalog (unknot, trefoil, figure8).
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-import mpmath
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import mpf_shift, to_int
 
-from .errors import BadParameters, SingularPivot
-from .exactnum import CycloElement
+from .errors import BadParameters, InternalCheckError, SingularPivot
+from .exactnum import CycloElement, euler_phi
 from .matutil import det_int
 
 __all__ = [
@@ -178,7 +185,7 @@ def alexander_from_seifert(V: "SeifertMatrix") -> LaurentPoly:
 
 
 def evaluate_at_root(poly: LaurentPoly, a: int, b: int) -> CycloElement:
-    """Exact value of the polynomial at zeta_a^b, as an element of Q(zeta_a)."""
+    """Exact value of the polynomial at zeta_a^b, as an element of Z[zeta_a]."""
     out = CycloElement.zero(a)
     for e, c in poly.terms:
         out = out + CycloElement.zeta(a, b * e).scale(c)
@@ -186,7 +193,7 @@ def evaluate_at_root(poly: LaurentPoly, a: int, b: int) -> CycloElement:
 
 
 def nondegenerate_at(poly: LaurentPoly, a: int, b: int) -> bool:
-    """True iff poly(exp(2 pi i b/a)) != 0, decided exactly in Q(zeta_a)."""
+    """True iff poly(exp(2 pi i b/a)) != 0, decided exactly in Z[zeta_a]."""
     if gcd(a, b) != 1:
         raise BadParameters(f"gcd({a}, {b}) != 1")
     return not evaluate_at_root(poly, a, b).is_zero()
@@ -231,91 +238,111 @@ KNOT_CATALOG: dict[str, SeifertMatrix] = {
 
 _MAX_SIGN_PREC = 1 << 14
 
-# mpmath's interval precision is process-global; serialize around it
-_SIGN_LOCK = threading.Lock()
+
+@functools.lru_cache(maxsize=256)
+def _unit_circle_table(a: int, prec: int) -> tuple[tuple[int, int, int, int], ...]:
+    # (cos lo, cos hi, sin lo, sin hi) at 2 pi i/a for i < phi(a), in units
+    # of 2^-prec: the endpoints of intervals computed in a private interval
+    # context at precision prec (the global mpmath.iv is never touched),
+    # rounded outward to integers
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    two_pi = 2 * ctx.pi
+    table = []
+    for i in range(euler_phi(a)):
+        row = ()
+        for x in (ctx.cos(two_pi * i / a), ctx.sin(two_pi * i / a)):
+            lo, hi = x._mpi_  # endpoints as raw mpf tuples
+            row += (to_int(mpf_shift(lo, prec), "f"), to_int(mpf_shift(hi, prec), "c"))
+        table.append(row)
+    return tuple(table)
 
 
 def _certified_sign(x: CycloElement) -> int:
-    """Sign of an exactly-nonzero real cyclotomic number.
+    """Sign of an exactly-nonzero real element of Z[zeta_a].
 
-    Evaluates sum c_i zeta^i by interval arithmetic, doubling the working
-    precision until the real part's interval excludes zero; terminates
-    because the exact value is nonzero.  The imaginary part must straddle 0.
+    Bounds sum c_i zeta^i in fixed point, from outward-rounded bounds of
+    cos and sin at 2 pi i/a, doubling the working precision until the
+    bounds on the real part exclude zero; terminates because the exact
+    value is nonzero.  The bounds on the imaginary part must enclose 0.
+    Each failed condition raises :class:`InternalCheckError`.
     """
-    assert not x.is_zero()
-    a = x.order
+    if x.is_zero():
+        raise InternalCheckError("sign of an exactly zero pivot requested")
     prec = 64
     while prec <= _MAX_SIGN_PREC:
-        with _SIGN_LOCK:
-            old = mpmath.iv.prec
-            try:
-                mpmath.iv.prec = prec
-                two_pi = 2 * mpmath.iv.pi
-                re = mpmath.iv.mpf(0)
-                im = mpmath.iv.mpf(0)
-                for i, c in enumerate(x.coeffs):
-                    if c:
-                        ci = mpmath.iv.mpf(c.numerator) / c.denominator
-                        angle = two_pi * i / a
-                        re += ci * mpmath.iv.cos(angle)
-                        im += ci * mpmath.iv.sin(angle)
-                assert 0 in im, "pivot is not real"
-                if 0 not in re:
-                    return 1 if re > 0 else -1
-            finally:
-                mpmath.iv.prec = old
+        re_lo = re_hi = im_lo = im_hi = 0
+        for c, (cos_lo, cos_hi, sin_lo, sin_hi) in zip(x.coeffs, _unit_circle_table(x.order, prec)):
+            if c > 0:
+                re_lo += c * cos_lo
+                re_hi += c * cos_hi
+                im_lo += c * sin_lo
+                im_hi += c * sin_hi
+            elif c < 0:
+                re_lo += c * cos_hi
+                re_hi += c * cos_lo
+                im_lo += c * sin_hi
+                im_hi += c * sin_lo
+        if not im_lo <= 0 <= im_hi:
+            raise InternalCheckError("pivot is not real")
+        if re_lo > 0:
+            return 1
+        if re_hi < 0:
+            return -1
         prec *= 2
-    raise AssertionError("sign of nonzero pivot not separable at maximum precision")
+    raise InternalCheckError(
+        f"sign of a nonzero pivot not separable at {_MAX_SIGN_PREC} bits of precision"
+    )
 
 
 def _hermitian_signature(h: list[list[CycloElement]]) -> int:
-    """Signature of an exact Hermitian matrix over Q(zeta_a).
+    """Signature of an exact Hermitian matrix over Z[zeta_a], without division.
 
-    Diagonal pivots are eliminated by Schur complement; if every diagonal
-    entry is exactly zero but some off-diagonal entry h is not, the 2x2
-    block [[0, h], [conj h, 0]] is nonsingular of signature 0 and is
-    eliminated as a block.  A remaining block that is identically zero
-    means the form is singular.
+    A nonzero diagonal pivot p is real, and p times the Schur complement is
+    p h_ij - h_ip h_pj, Hermitian with integer coefficients; its signature
+    is sign(p) times that of the complement, so sig = s + s * sig(rest)
+    with s = sign(p).  If every diagonal entry is exactly zero but some
+    off-diagonal entry u = h_(i0 j0) is not, the 2x2 block
+    [[0, u], [conj u, 0]] has signature 0 and is eliminated as a block;
+    the complement is scaled by N = u conj u, which is positive, giving
+    N h_ij - (h_(i i0) u h_(j0 j) + h_(i j0) conj(u) h_(i0 j)).  A
+    remaining block that is identically zero means the form is singular.
     """
-    n = len(h)
-    if n == 0:
-        return 0
-    piv = next((i for i in range(n) if not h[i][i].is_zero()), None)
-    if piv is not None:
-        p = h[piv][piv]
-        rest = [i for i in range(n) if i != piv]
-        schur = [
-            [h[i][j] - h[i][piv] * h[piv][j] / p for j in rest]
+    sig, sign = 0, 1  # sig(h) = sig + sign * sig(current block)
+    while h:
+        n = len(h)
+        piv = next((i for i in range(n) if not h[i][i].is_zero()), None)
+        if piv is not None:
+            p = h[piv][piv]
+            s = _certified_sign(p)
+            sig += sign * s
+            sign *= s
+            rest = [i for i in range(n) if i != piv]
+            h = [[p * h[i][j] - h[i][piv] * h[piv][j] for j in rest] for i in rest]
+            continue
+        pair = next(
+            ((i, j) for i in range(n) for j in range(i + 1, n) if not h[i][j].is_zero()),
+            None,
+        )
+        if pair is None:
+            raise SingularPivot("Hermitian form is singular (zero block)")
+        i0, j0 = pair
+        u = h[i0][j0]
+        uc = u.conjugate()
+        norm = u * uc
+        rest = [i for i in range(n) if i not in (i0, j0)]
+        h = [
+            [norm * h[i][j] - (h[i][i0] * u * h[j0][j] + h[i][j0] * uc * h[i0][j]) for j in rest]
             for i in rest
         ]
-        return _certified_sign(p) + _hermitian_signature(schur)
-    pair = next(
-        ((i, j) for i in range(n) for j in range(i + 1, n) if not h[i][j].is_zero()),
-        None,
-    )
-    if pair is None:
-        raise SingularPivot("Hermitian form is singular (zero block)")
-    i0, j0 = pair
-    u = h[i0][j0]
-    rest = [i for i in range(n) if i not in (i0, j0)]
-    # block inverse of [[0, u], [conj u, 0]] is [[0, 1/conj u], [1/u, 0]]
-    uinv = u.inverse()
-    uinv_c = u.conjugate().inverse()
-    schur = [
-        [
-            h[i][j] - (h[i][i0] * uinv * h[j0][j] + h[i][j0] * uinv_c * h[i0][j])
-            for j in rest
-        ]
-        for i in rest
-    ]
-    return _hermitian_signature(schur)
+    return sig
 
 
 def lt_signature(V: SeifertMatrix, a: int, b: int) -> int:
     """Levine-Tristram signature of V at omega = zeta_a^(-b):
     the signature of (1 - omega) V + (1 - conj omega) V^T.
 
-    Deterministic and exact: pivots are exact elements of Q(zeta_a) and
+    Deterministic and exact: pivots are exact elements of Z[zeta_a] and
     their signs are certified by adaptive-precision intervals.  Raises
     :class:`SingularPivot` when the form is singular, i.e. when omega is a
     root of the Alexander polynomial.

@@ -30,7 +30,9 @@ transferred from the lens space L(a, b mod a):
 where the sigmas are Levine-Tristram signatures of the strand knot (zero
 for unknots).  For unknotted strands this equals rho(L(a, -b mod a)) at
 the meridian holonomy, which reproduces the Seifert index formula; the
-cross-check Ind+ = R + sum of signatures is asserted on every run.
+cross-check Ind+ = R + sum of signatures is made on every run.  Each
+knotted strand's Alexander polynomial and its two signatures are computed
+once, and the transfer and the cross-check both read them.
 """
 
 from __future__ import annotations
@@ -201,22 +203,27 @@ def rho_transfer_surgery(L: LensSpace, V: SeifertMatrix) -> Fraction:
     :class:`Degenerate` when the flat connection is degenerate, i.e. when
     the Alexander polynomial vanishes at the holonomy root of unity.
     """
-    if V.size and not nondegenerate_at(alexander_from_seifert(V), L.a, L.b):
+    nondeg = not V.size or nondegenerate_at(alexander_from_seifert(V), L.a, L.b)
+    return _transfer(L, _signature_pair(V, L.a, L.b, nondeg))
+
+
+def _signature_pair(V: SeifertMatrix, a: int, b: int, nondegenerate: bool) -> tuple[int, int]:
+    # (sigma(a, b), sigma(a, a - b)), both 0 for the unknot; raises
+    # Degenerate when the flat connection at exp(2 pi i b/a) is degenerate
+    if not V.size:
+        return 0, 0
+    if not nondegenerate:
         raise Degenerate(
-            f"Alexander polynomial vanishes at exp(2 pi i {L.b}/{L.a}); flat connection degenerate"
+            f"Alexander polynomial vanishes at exp(2 pi i {b}/{a}); flat connection degenerate"
         )
-    value = rho_lens(L, meridian_holonomy(L.a, L.b))
-    if V.size:
-        try:
-            value += lt_signature(V, L.a, L.b) + lt_signature(V, L.a, L.a - L.b)
-        except SingularPivot as exc:
-            raise Degenerate(str(exc)) from exc
-    return value
+    try:
+        return lt_signature(V, a, b), lt_signature(V, a, a - b)
+    except SingularPivot as exc:
+        raise Degenerate(str(exc)) from exc
 
 
-def _strand_rho(strand: Strand) -> Fraction:
-    # rho of the strand's boundary piece in the d > 0 orientation
-    return -rho_transfer_surgery(LensSpace(strand.a, strand.b), strand.seifert_matrix)
+def _transfer(L: LensSpace, sigmas: tuple[int, int]) -> Fraction:
+    return rho_lens(L, meridian_holonomy(L.a, L.b)) + sum(sigmas)
 
 
 def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> TauBound | None:
@@ -308,30 +315,39 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     if not ok:
         return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
 
-    # nondegeneracy, strand by strand
+    # nondegeneracy, strand by strand; each knotted strand's Alexander
+    # polynomial is computed and evaluated once
+    nondeg = []
     for s in strands:
         if s.knotted:
-            nondeg = nondegenerate_at(alexander_from_seifert(s.seifert_matrix), s.a, s.b % s.a)
+            ok_s = nondegenerate_at(alexander_from_seifert(s.seifert_matrix), s.a, s.b % s.a)
             lines.add(
                 f"nondegenerate({s.knot} at {s.a}/{s.b})",
                 f"Alexander polynomial nonzero at exp(2 pi i {s.b % s.a}/{s.a})",
-                nondeg,
-                nondeg,
+                ok_s,
+                ok_s,
             )
         else:
+            ok_s = True
             lines.add(
                 f"nondegenerate(lens strand {s.a}/{s.b})",
                 "lens space flat connections are nondegenerate",
                 True,
                 True,
             )
+        nondeg.append(ok_s)
 
-    # index, via the signature-corrected transfer, cross-checked against R
+    # index, via the signature-corrected transfer, cross-checked against R;
+    # both read the same signatures, computed once per strand
     try:
-        rhos = [_strand_rho(s) for s in strands]
+        sigmas = [
+            _signature_pair(s.seifert_matrix, s.a, s.b % s.a, ok_s) for s, ok_s in zip(strands, nondeg)
+        ]
     except Degenerate as exc:
         lines.add("rho transfer", "rho via flat cobordism to the lens space", str(exc), False)
         return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
+    # rho of each boundary piece in the d > 0 orientation
+    rhos = [-_transfer(LensSpace(s.a, s.b), pair) for s, pair in zip(strands, sigmas)]
     p1 = Fraction(d, a)
     ind = ind_plus_general(
         IndexInputs(p1, 0, tuple(BoundaryTerm(1, rho) for rho in rhos))
@@ -340,13 +356,12 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     # each knotted strand shifts the index by its Levine-Tristram signature:
     # rho_i = -(rho_lens + 2 sigma_i) enters with weight -1/2
     sig_sum = 0
-    for s in strands:
-        if s.knotted:
-            bhat = s.b % s.a
-            sig = lt_signature(s.seifert_matrix, s.a, bhat)
-            if sig != lt_signature(s.seifert_matrix, s.a, s.a - bhat):
-                raise InternalCheckError(f"signature of knot {s.knot} at {bhat}/{s.a} breaks conjugation symmetry")
-            sig_sum += sig
+    for s, (sig, sig_conj) in zip(strands, sigmas):
+        if sig != sig_conj:
+            raise InternalCheckError(
+                f"signature of knot {s.knot} at {s.b % s.a}/{s.a} breaks conjugation symmetry"
+            )
+        sig_sum += sig
     if ind != r_value + sig_sum:
         raise InternalCheckError(
             f"index transfer mismatch: Ind+ = {ind}, R = {r_value}, signature sum {sig_sum}"

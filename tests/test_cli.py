@@ -4,6 +4,7 @@ problem-file round trips."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 BASE = [sys.executable, "-m", "gaugecert.cli"]
 
@@ -148,6 +149,18 @@ def test_selftest_optimized():
     r = subprocess.run([sys.executable, "-O", "-m", "gaugecert.cli", "selftest"], capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["ok"] is True
+
+
+def test_check_fs_knotted_optimized():
+    # the signature checks raise instead of asserting, so -O changes nothing
+    problem = str(Path(__file__).resolve().parent / "golden" / "genus2_inconclusive.problem.json")
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "gaugecert.cli", "check-fs", "--problem", problem],
+                       capture_output=True)
+        for flags in ((), ("-O",))
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
 
 
 def test_exit_code_internal_consistency(monkeypatch):

@@ -2,13 +2,18 @@
 Levine-Tristram signatures."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import mpmath
 import pytest
 
+import gaugecert.knots as knots
 from gaugecert import (
     BadParameters,
+    CycloElement,
+    InternalCheckError,
     KNOT_CATALOG,
     LaurentPoly,
     SeifertMatrix,
@@ -105,32 +110,149 @@ def test_singular_pivot():
         lt_signature(KNOT_CATALOG["trefoil"], 5, 5)
 
 
-def _random_seifert_matrix(rng, genus):
+def _random_seifert_matrix(rng, genus, zero_diagonal=False):
     # V = S + U0 with S symmetric and U0 carrying 1s at (2i, 2i+1), so
     # V - V^T is the standard symplectic form
     n = 2 * genus
     S = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i + 1 if zero_diagonal else i, n):
             S[i][j] = S[j][i] = rng.randint(-2, 2)
     for g in range(genus):
         S[2 * g][2 * g + 1] += 1
     return SeifertMatrix(tuple(tuple(row) for row in S))
 
 
+_EIG = mpmath.MPContext()
+
+
+def _eigen_signature(V, a, b):
+    """Signature from mpmath eigenvalues, or None when an eigenvalue is
+    numerically too close to 0 (near the degenerate locus)."""
+    w = _EIG.expjpi(_EIG.mpf(-2 * b) / a)
+    arr = _EIG.matrix(V.rows)
+    H = (1 - w) * arr + (1 - _EIG.conj(w)) * arr.T
+    eigs = _EIG.eighe(H, eigvals_only=True)
+    if min(abs(e) for e in eigs) < 1e-8:
+        return None
+    return sum(1 if e > 0 else -1 for e in eigs)
+
+
+def _random_point(rng, a_max):
+    a = rng.randint(3, a_max)
+    return a, rng.choice([x for x in range(1, a) if gcd(x, a) == 1])
+
+
 def test_lt_signature_against_eigenvalue_oracle():
     # numeric cross-check of the exact Hermitian elimination
-    mp = mpmath.MPContext()
     rng = random.Random(41)
     for _ in range(40):
         V = _random_seifert_matrix(rng, rng.randint(1, 3))
         a = rng.randint(2, 24)
         b = rng.choice([x for x in range(1, a) if gcd(x, a) == 1])
-        w = mp.expjpi(mp.mpf(-2 * b) / a)
-        arr = mp.matrix(V.rows)
-        H = (1 - w) * arr + (1 - mp.conj(w)) * arr.T
-        eigs = mp.eighe(H, eigvals_only=True)
-        if min(abs(e) for e in eigs) < 1e-8:
-            continue  # numerically too close to the degenerate locus
-        expected = sum(1 if e > 0 else -1 for e in eigs)
+        expected = _eigen_signature(V, a, b)
+        if expected is None:
+            continue
         assert lt_signature(V, a, b) == expected
+
+
+def _negative_first_pivot(rng):
+    V = _random_seifert_matrix(rng, rng.randint(1, 3))
+    rows = [list(row) for row in V.rows]
+    rows[0][0] = -rng.randint(1, 2)  # h_00 = V_00 |1 - omega|^2 < 0
+    return SeifertMatrix(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize(
+    "case, count, make, a_max",
+    [
+        # all h_ii = V_ii |1 - omega|^2 vanish: the 2x2 block branch at the top
+        ("zero diagonal", 150, lambda rng: _random_seifert_matrix(rng, rng.randint(2, 3), True), 30),
+        ("negative first pivot", 40, _negative_first_pivot, 30),
+        ("genus 4", 15, lambda rng: _random_seifert_matrix(rng, 4), 61),
+    ],
+    ids=["zero-diagonal", "negative-first-pivot", "genus-4"],
+)
+def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, count, make, a_max):
+    # each elimination branch, checked against mpmath eigenvalues; the
+    # pivot signs are recorded to show which branch ran
+    signs = []
+    certify = knots._certified_sign
+
+    def spy(x):
+        signs.append(certify(x))
+        return signs[-1]
+
+    monkeypatch.setattr(knots, "_certified_sign", spy)
+    rng = random.Random(47)
+    taken = compared = 0
+    for _ in range(count):
+        V = make(rng)
+        a, b = _random_point(rng, a_max)
+        expected = _eigen_signature(V, a, b)
+        if expected is None:
+            continue
+        signs.clear()
+        assert lt_signature(V, a, b) == expected, (case, V.rows, a, b)
+        compared += 1
+        if case == "zero diagonal":
+            taken += len(signs) < V.size  # a 2x2 block takes two rows without a sign
+        elif case == "negative first pivot":
+            taken += signs[0] == -1
+        else:
+            taken += V.size == 8
+    assert compared >= count // 2
+    assert taken >= 1
+
+
+def test_certified_sign_checks(monkeypatch):
+    # the checks raise InternalCheckError rather than assert, so they hold under -O
+    real = CycloElement.zeta(7, 1) + CycloElement.zeta(7, -1)
+    assert knots._certified_sign(real) == 1
+    with pytest.raises(InternalCheckError, match="zero"):
+        knots._certified_sign(CycloElement.zero(7))
+    with pytest.raises(InternalCheckError, match="not real"):
+        knots._certified_sign(CycloElement.zeta(5, 1))
+    monkeypatch.setattr(knots, "_MAX_SIGN_PREC", 32)
+    with pytest.raises(InternalCheckError, match="not separable"):
+        knots._certified_sign(real)
+    with pytest.raises(InternalCheckError):
+        lt_signature(KNOT_CATALOG["trefoil"], 5, 1)
+
+
+def test_sign_certification_leaves_mpmath_state():
+    iv_prec, mp_prec = mpmath.iv.prec, mpmath.mp.prec
+    try:
+        mpmath.iv.prec, mpmath.mp.prec = 29, 31
+        assert lt_signature(KNOT_CATALOG["trefoil"], 61, 20) == -2
+        assert (mpmath.iv.prec, mpmath.mp.prec) == (29, 31)
+        with pytest.raises(SingularPivot):
+            lt_signature(KNOT_CATALOG["trefoil"], 6, 1)
+        assert (mpmath.iv.prec, mpmath.mp.prec) == (29, 31)
+    finally:
+        mpmath.iv.prec, mpmath.mp.prec = iv_prec, mp_prec
+
+
+def test_lt_signature_threads():
+    rng = random.Random(53)
+    cases = []
+    for _ in range(24):
+        V = _random_seifert_matrix(rng, rng.randint(1, 3))
+        cases.append((V, *_random_point(rng, 61)))
+
+    def signature(case):
+        try:
+            return lt_signature(*case)
+        except SingularPivot:
+            return None
+
+    knots._unit_circle_table.cache_clear()
+    serial = [signature(case) for case in cases]
+    knots._unit_circle_table.cache_clear()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(signature, cases, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
