@@ -1,8 +1,10 @@
-"""Golden reports: surgery-config problems in tests/golden/ and the exact
-JSON reports that `gaugecert check-fs --problem` printed for them before
-the signature code was made division-free.  Each report must stay byte
-identical; the call counts pin that each knotted strand's Alexander
-polynomial and signatures are computed once."""
+"""Golden reports: CLI invocations and the exact bytes they printed, kept
+in tests/golden/.  The three surgery-config JSON reports were recorded
+before the signature code was made division-free; the text reports, the
+Seifert, family, C(e), plumbing, rho-transfer and selftest outputs before
+every exact determinant was routed through one integer elimination.  Each
+output must stay byte identical; the call counts pin that each knotted
+strand's Alexander polynomial and signatures are computed once."""
 
 import json
 from pathlib import Path
@@ -14,12 +16,31 @@ import gaugecert.obstruct as obstruct
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = ("figure8_obstructed", "genus2_inconclusive", "trefoil_degenerate")
+GENUS2 = "[[-2,1,0,0],[0,-1,0,1],[0,0,-1,1],[0,1,0,-2]]"
+
+# (argv, golden file); paths in argv are relative to tests/golden/
+REPORTS = [
+    *(pytest.param(["check-fs", "--problem", f"{n}.problem.json"], f"{n}.report.json", id=n) for n in CASES),
+    *(
+        pytest.param(["--format", "text", "check-fs", "--problem", f"{n}.problem.json"], f"{n}.report.txt", id=f"{n}-text")
+        for n in CASES
+    ),
+    pytest.param(["check-fs", "2,1", "3,1", "5,-4"], "fs_2_3_5.report.json", id="fs-2-3-5"),
+    pytest.param(["--format", "text", "check-fs", "2,1", "3,1", "5,-4"], "fs_2_3_5.report.txt", id="fs-2-3-5-text"),
+    pytest.param(["check-family", "3", "5", "7", "6,48,342,2400"], "family_3_5_7.report.json", id="family-3-5-7"),
+    pytest.param(["c-e", "ce_rank4.problem.json"], "ce_rank4.report.json", id="c-e-rank4"),
+    pytest.param(["plumbing", "7", "2"], "plumbing_7_2.report.json", id="plumbing-7-2"),
+    pytest.param(["rho-transfer", "3", "1", "--seifert-matrix", GENUS2], "rho_transfer_genus2.report.json",
+                 id="rho-transfer-genus2"),
+    pytest.param(["selftest"], "selftest.report.json", id="selftest"),
+]
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_report_byte_identical(capsys, name):
-    assert cli.main(["check-fs", "--problem", str(GOLDEN / f"{name}.problem.json")]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.report.json").read_text(encoding="utf-8")
+@pytest.mark.parametrize("argv, golden", REPORTS)
+def test_report_byte_identical(capsys, monkeypatch, argv, golden):
+    monkeypatch.chdir(GOLDEN)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_degenerate_report_lines():
