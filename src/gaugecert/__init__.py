@@ -72,7 +72,7 @@ from .lattice import (
     plumbing_gram,
     sfqhs_reducible_count,
 )
-from .lens import LensSpace, lens_cs_values, nz_closed_form, rho_lens
+from .lens import LensSpace, nz_closed_form, rho_lens
 from .obstruct import (
     ObstructionReport,
     Strand,

@@ -56,33 +56,26 @@ class TauBound:
             raise BadParameters(f"tau bound {self.value} outside (0, 4]")
 
 
-#: Where a denominator profile came from.
-PROFILE_SOURCES = ("lens", "seifert-irreducible", "seifert-reducible", "user-supplied")
-
-
 @dataclass(frozen=True)
 class CsDenominatorProfile:
     """Guaranteed denominators of flat-connection Chern-Simons values on one
     boundary component: every value is a rational whose denominator divides
     some member of ``guaranteed_denominators``.
 
-    User-supplied entries must carry a provenance string saying where the
+    Every profile carries a provenance string saying where the
     denominators come from; that string is copied verbatim into reports.
     """
 
     component: str
     guaranteed_denominators: frozenset[int]
-    source: str
-    provenance: str = ""
+    provenance: str
 
     def __post_init__(self) -> None:
         denoms = frozenset(int(k) for k in self.guaranteed_denominators)
         if not denoms or any(k < 1 for k in denoms):
             raise BadParameters("denominators must be positive integers")
-        if self.source not in PROFILE_SOURCES:
-            raise BadParameters(f"unknown profile source {self.source!r}")
-        if self.source == "user-supplied" and not self.provenance:
-            raise BadParameters("user-supplied denominator profiles require a provenance string")
+        if not self.provenance:
+            raise BadParameters("denominator profiles require a provenance string")
         object.__setattr__(self, "guaranteed_denominators", denoms)
 
 

@@ -165,7 +165,7 @@ class CycloElement:
     Coefficients are ``int`` or :class:`~fractions.Fraction`.  Integer
     coefficients mean the element lies in the ring Z[zeta_a], and the ring
     operations (``zeta``, ``from_rational`` of an int, ``scale`` by an int,
-    ``+``, ``-``, ``*``, ``galois``) keep them integers; only
+    ``+``, ``-``, ``*``, ``conjugate``) keep them integers; only
     :meth:`inverse` and ``/`` leave Z[zeta_a] for Q(zeta_a).
     """
 
@@ -245,7 +245,7 @@ class CycloElement:
         while r1:
             q, r = _poly_divmod_q(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_q(s0, _poly_mul_q(q, s1))
+            s0, s1 = s1, _poly_submul_q(s0, q, s1)
         assert len(r0) == 1, "Phi_a not coprime to a nonzero element"
         inv = [c / r0[0] for c in s0]
         # reduce mod Phi_a back into the power basis
@@ -262,25 +262,17 @@ class CycloElement:
     def __truediv__(self, other: "CycloElement") -> "CycloElement":
         return self * other.inverse()
 
-    def galois(self, t: int) -> "CycloElement":
-        """Image under the Galois automorphism zeta -> zeta^t, gcd(t, a) = 1."""
+    def conjugate(self) -> "CycloElement":
+        """Complex conjugation zeta -> zeta^(-1), a Galois automorphism."""
         a = self.order
-        if gcd(t % a, a) != 1:
-            raise BadParameters(f"zeta -> zeta^{t} is not an automorphism of Q(zeta_{a})")
         table = _zeta_power_table(a)
         out = [0] * len(self.coeffs)
         for i, c in enumerate(self.coeffs):
             if c:
-                for j, u in enumerate(table[(i * t) % a]):
+                for j, u in enumerate(table[-i % a]):
                     if u:
                         out[j] += c * u
         return CycloElement(a, tuple(out))
-
-    def conjugate(self) -> "CycloElement":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        if self.order == 1:
-            return self
-        return self.galois(self.order - 1)
 
     # -- predicates ---------------------------------------------------------
 
@@ -309,21 +301,13 @@ def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
     return q, _trim(num)
 
 
-def _poly_mul_q(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
+def _poly_submul_q(p: list[Fraction], q: list[Fraction], s: list[Fraction]) -> list[Fraction]:
+    # p - q s
+    out = list(p) + [Fraction(0)] * max(len(q) + len(s) - 1 - len(p), 0)
+    for i, x in enumerate(q):
         if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub_q(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = list(p) + [Fraction(0)] * max(len(q) - len(p), 0)
-    for i, y in enumerate(q):
-        out[i] -= y
+            for j, y in enumerate(s):
+                out[i + j] -= x * y
     return _trim(out)
 
 

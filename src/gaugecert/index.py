@@ -6,10 +6,12 @@ flat limits alpha_i on its rational-homology-sphere boundary pieces, is
     ind_plus = 2 p_1 - 3 (1 + b^+(X))
                + (1/2) sum over nontrivial alpha_i of (3 - h_i - rho_i),
 
-all exact rationals.  This module never touches geometry: the analytic
-data (h_i, rho_i) arrives as plain numbers in :class:`IndexInputs`, so
-boundary pieces that are not lens spaces are handled by whoever supplies
-rho (see :mod:`gaugecert.obstruct` for the surgery transfer rule).
+all exact rationals; :func:`ind_plus_general` evaluates it for
+b^+(X) = 0, the only case the checkers meet.  This module never touches
+geometry: the analytic data (h_i, rho_i) arrives as plain numbers in
+:class:`IndexInputs`, so boundary pieces that are not lens spaces are
+handled by whoever supplies rho (see :mod:`gaugecert.obstruct` for the
+surgery transfer rule).
 
 For the Seifert fibered case with pairs (a_i, b_i) and d > 0, the index of
 the canonical reducible bundle has two expressions that must agree:
@@ -65,18 +67,16 @@ class BoundaryTerm:
 @dataclass(frozen=True)
 class IndexInputs:
     p1: Fraction
-    b_plus: int
     boundary_terms: tuple[BoundaryTerm, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p1", Fraction(self.p1))
         object.__setattr__(self, "boundary_terms", tuple(self.boundary_terms))
-        assert self.b_plus >= 0
 
 
 def ind_plus_general(inp: IndexInputs) -> Fraction:
-    """2 p_1 - 3(1 + b^+) + (1/2) sum_{nontrivial} (3 - h - rho), exact."""
-    total = 2 * inp.p1 - 3 * (1 + inp.b_plus)
+    """2 p_1 - 3 + (1/2) sum_{nontrivial} (3 - h - rho), exact (b^+(X) = 0)."""
+    total = 2 * inp.p1 - 3
     for term in inp.boundary_terms:
         if not term.trivial:
             total += Fraction(3 - term.h - term.rho, 2)

@@ -5,7 +5,10 @@ from a Seifert matrix V (square integer, V - V^T unimodular):
 
 * nondegeneracy of the flat connection on a/b surgery, which holds iff
   the Alexander polynomial does not vanish at exp(2 pi i b/a); evaluation
-  is exact, in Z[zeta_a];
+  is exact, in Z[zeta_a].  The polynomial det(t V - V^T) is one integer
+  determinant: its coefficients are bounded by
+  B = prod_i sum_j (|V_ij| + |V_ji|), so det((2B + 1) V - V^T) holds them
+  as balanced base-(2B + 1) digits (Kronecker substitution);
 * the Levine-Tristram signature sigma_omega = sign((1-omega) V +
   (1-conj omega) V^T) at omega = zeta_a^(-b), which corrects rho under the
   flat cobordism to a lens space.
@@ -33,15 +36,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Mapping
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import mpf_shift, to_int
 
 from .errors import BadParameters, InternalCheckError, SingularPivot
-from .exactnum import CycloElement, euler_phi
+from .exactnum import CycloElement, _poly_div_exact, euler_phi
 from .matutil import det_int
 
 __all__ = [
@@ -76,15 +77,8 @@ class LaurentPoly:
         assert len({e for e, _ in clean}) == len(clean), "repeated exponents"
         object.__setattr__(self, "terms", clean)
 
-    @staticmethod
-    def from_dict(coeffs: Mapping[int, int]) -> "LaurentPoly":
-        return LaurentPoly(tuple(coeffs.items()))
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
-
-    def __call__(self, value: Fraction) -> Fraction:
-        return sum((Fraction(c) * Fraction(value) ** e for e, c in self.terms), Fraction(0))
 
     def shift(self, k: int) -> "LaurentPoly":
         return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
@@ -103,82 +97,40 @@ class LaurentPoly:
         return " + ".join(f"{c}*t^{e}" for e, c in self.terms)
 
 
-def _poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_div_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    num = dict(num)
-    dlead = max(den)
-    out: dict[int, int] = {}
-    while num:
-        nlead = max(num)
-        c, r = divmod(num[nlead], den[dlead])
-        assert r == 0, "non-exact Laurent division"
-        out[nlead - dlead] = c
-        for e, d in den.items():
-            v = num.get(e + nlead - dlead, 0) - c * d
-            if v:
-                num[e + nlead - dlead] = v
-            else:
-                num.pop(e + nlead - dlead, None)
-    return out
-
-
 def alexander_torus(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial (t^pq - 1)(t - 1)/((t^p - 1)(t^q - 1)) of the
     (p, q) torus knot, by exact division, normalized symmetric about t^0."""
     if p < 2 or q < 2 or gcd(p, q) != 1:
         raise BadParameters("need coprime p, q >= 2")
-    num = _poly_mul({p * q: 1, 0: -1}, {1: 1, 0: -1})
-    quo = _poly_div_exact(num, {p: 1, 0: -1})
-    quo = _poly_div_exact(quo, {q: 1, 0: -1})
-    return LaurentPoly.from_dict(quo).symmetrized()
+    quo = [0] * (p * q + 2)  # (t^pq - 1)(t - 1), low to high
+    quo[0], quo[1], quo[p * q], quo[p * q + 1] = 1, -1, -1, 1
+    for m in (p, q):
+        quo = _poly_div_exact(quo, [-1] + [0] * (m - 1) + [1])  # by t^m - 1
+    return LaurentPoly(tuple(enumerate(quo))).symmetrized()
 
 
 def alexander_from_seifert(V: "SeifertMatrix") -> LaurentPoly:
     """det(t^(1/2) V - t^(-1/2) V^T), the symmetrized Alexander polynomial.
 
-    Computed as det(t V - V^T) and then recentred; exact over Z.
+    Computed as det(t V - V^T) and then recentred, by one integer
+    determinant (Kronecker substitution): expanding the determinant over
+    permutations, every coefficient of det(t V - V^T) is at most
+    B = prod_i sum_j (|V_ij| + |V_ji|) in absolute value, so the integer
+    det(N V - V^T) at N = 2B + 1 has the coefficients as its balanced
+    base-N digits.
     """
     n = V.size
-    if n == 0:
-        return LaurentPoly(((0, 1),))
-    # expand det(tV - V^T) by permutation sum is exponential; use fraction-free
-    # elimination over Z[t] via dict polynomials and the Bareiss recurrence.
-    m: list[list[dict[int, int]]] = [
-        [
-            {e: c for e, c in ((1, V.rows[i][j]), (0, -V.rows[j][i])) if c}
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    sign = 1
-    prev: dict[int, int] = {0: 1}
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return LaurentPoly(())
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                lhs = _poly_mul(m[i][j], m[k][k])
-                rhs = _poly_mul(m[i][k], m[k][j])
-                num = {e: lhs.get(e, 0) - rhs.get(e, 0) for e in set(lhs) | set(rhs)}
-                num = {e: c for e, c in num.items() if c}
-                m[i][j] = _poly_div_exact(num, prev)
-            m[i][k] = {}
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = {e: -c for e, c in det.items()}
-    poly = LaurentPoly.from_dict(det)
+    bound = 1
+    for i in range(n):
+        bound *= sum(abs(V.rows[i][j]) + abs(V.rows[j][i]) for j in range(n))
+    base = 2 * bound + 1
+    value = det_int([[base * V.rows[i][j] - V.rows[j][i] for j in range(n)] for i in range(n)])
+    coeffs = []
+    while value:
+        digit = (value + bound) % base - bound
+        coeffs.append(digit)
+        value = (value - digit) // base
+    poly = LaurentPoly(tuple(enumerate(coeffs)))
     if poly.terms and poly.terms[-1][1] < 0:
         poly = LaurentPoly(tuple((e, -c) for e, c in poly.terms))
     return poly.symmetrized()

@@ -335,27 +335,12 @@ def _floor_sqrt_fraction(x: Fraction) -> int:
     return isqrt(x.numerator * x.denominator) // x.denominator
 
 
-def _inverse_diagonal(a: list[list[Fraction]]) -> list[Fraction]:
-    n = len(a)
-    m = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise NotDefinite("form is singular")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][n + i] for i in range(n)]
-
-
 def enumerate_C_e_bruteforce(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     """Independent oracle: scan the full coordinate box |x_i| <= bound_i,
     bound_i = floor(sqrt(target * (A^-1)_ii)) for A = -gram (any solution
-    obeys x_i^2 <= target * (A^-1)_ii), and filter.
+    obeys x_i^2 <= target * (A^-1)_ii), and filter.  With the integer
+    matrix M = scale * A, (A^-1)_ii = scale * det(M_ii) / det(M), M_ii
+    being M without row and column i.
 
     Exponential in the rank; for cross-checking small instances only.
     """
@@ -363,9 +348,12 @@ def enumerate_C_e_bruteforce(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     target = -P.form.apply(P.e, P.e)
     if n == 0:
         return ((),)
-    a = [[Fraction(-x) for x in row] for row in P.form.gram]
-    inv_diag = _inverse_diagonal(a)
-    bounds = [_floor_sqrt_fraction(target * d) for d in inv_diag]
+    m = [[-x for x in row] for row in P.form.scaled_int_rows()]
+    det = det_int(m)  # positive: CeProblem checked definiteness
+    bounds = []
+    for i in range(n):
+        minor = [row[:i] + row[i + 1 :] for k, row in enumerate(m) if k != i]
+        bounds.append(_floor_sqrt_fraction(target * Fraction(P.form.scale * det_int(minor), det)))
     found: set[tuple[int, ...]] = set()
 
     def scan(i: int, partial: list[int]) -> None:

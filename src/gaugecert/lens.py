@@ -20,7 +20,8 @@ form:  (2/a) sum_k cot(pi k c/a) cot(pi k/a) sin^2(pi k/a) = 2 c*/a - 1
 where 0 < c* < a and c c* = -1 mod a.
 
 Chern-Simons invariants of flat connections on L(a, b), taken mod 4, all
-lie in (4/a) Z, giving the compactness bound tau(L(a,b)) >= 4/a.
+lie in (4/a) Z, giving the compactness bound tau(L(a,b)) >= 4/a
+(:func:`gaugecert.cstau.tau_lower_lens`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd
 from .errors import BadParameters
 from .exactnum import cot_cot_sin2_sum, inverse_mod
 
-__all__ = ["LensSpace", "LensCsValues", "lens_cs_values", "nz_closed_form", "rho_lens"]
+__all__ = ["LensSpace", "nz_closed_form", "rho_lens"]
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,3 @@ def nz_closed_form(a: int, c: int) -> Fraction:
     cstar = (-inverse_mod(c % a, a)) % a
     assert 0 < cstar < a and (c * cstar) % a == a - 1
     return Fraction(2 * cstar, a) - 1
-
-
-@dataclass(frozen=True)
-class LensCsValues:
-    """Chern-Simons data of L(a, b): all flat-connection values mod 4 lie
-    in the coset set {4k/a}, so tau(L(a,b)) is bounded below by 4/a."""
-
-    space: LensSpace
-    bound: Fraction
-    residue_modulus: int
-
-
-def lens_cs_values(L: LensSpace) -> LensCsValues:
-    """The guaranteed lower bound 4/a together with the residue modulus a."""
-    return LensCsValues(space=L, bound=Fraction(4, L.a), residue_modulus=L.a)

@@ -1,4 +1,10 @@
-"""Small exact integer matrix helpers shared by the knot and lattice modules."""
+"""Small exact integer matrix helpers shared by the knot and lattice modules.
+
+Every exact determinant in the package comes from the one fraction-free
+elimination here: leading minors for definiteness, determinants of
+integer lattices, the diagonal of an inverse form (as ratios of minors)
+and, by Kronecker substitution, the Alexander polynomial.
+"""
 
 from __future__ import annotations
 
@@ -9,56 +15,47 @@ from .exactnum import xgcd
 __all__ = ["det_int", "bareiss_leading_minors", "kernel_basis_int"]
 
 
+def _bareiss(rows: Sequence[Sequence[int]], swap_rows: bool) -> list[int]:
+    # Fraction-free (Bareiss) elimination, Math. Comp. 22 (1968): after step
+    # k the pivot is the (k+1)-th leading principal minor of the row-swapped
+    # matrix, and every division by the previous pivot is exact.  Returns
+    # those minors, signed by the row swaps made so far; after a zero pivot
+    # (no nonzero entry to swap up) the rest is padded with zeros.
+    m = [list(map(int, row)) for row in rows]
+    r = len(m)
+    assert all(len(row) == r for row in m)
+    minors: list[int] = []
+    sign = prev = 1
+    for k in range(r):
+        if m[k][k] == 0 and swap_rows:
+            swap = next((i for i in range(k + 1, r) if m[i][k]), k)
+            if swap != k:
+                m[k], m[swap] = m[swap], m[k]
+                sign = -sign
+        pivot = m[k][k]
+        minors.append(sign * pivot)
+        if pivot == 0:
+            return minors + [0] * (r - k - 1)
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return minors
+
+
 def bareiss_leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors D_1, ..., D_r of a square integer matrix,
-    by fraction-free (Bareiss) elimination.
+    """Leading principal minors D_1, ..., D_r of a square integer matrix.
 
     Stops early and pads with zeros once a zero pivot is hit (any later
     leading minor reported as 0 may be inaccurate, but a zero pivot already
     rules out definiteness, which is all callers use this for).
     """
-    m = [list(map(int, row)) for row in rows]
-    r = len(m)
-    assert all(len(row) == r for row in m)
-    minors: list[int] = []
-    prev = 1
-    for k in range(r):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if pivot == 0:
-            minors.extend([0] * (r - k - 1))
-            break
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return minors
+    return _bareiss(rows, swap_rows=False)
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss with row pivoting)."""
-    m = [list(map(int, row)) for row in rows]
-    r = len(m)
-    assert all(len(row) == r for row in m)
-    if r == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(r - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, r) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[r - 1][r - 1]
+    """Exact determinant of a square integer matrix (Bareiss with row swaps)."""
+    return _bareiss(rows, swap_rows=True)[-1] if rows else 1
 
 
 def kernel_basis_int(vec: Sequence[int]) -> list[list[int]]:

@@ -52,7 +52,7 @@ from .cstau import (
     tau_lower_lens,
     tau_lower_seifert,
 )
-from .errors import Degenerate, InternalCheckError, SingularPivot
+from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
 from .index import BoundaryTerm, IndexInputs, ind_plus_general, ind_plus_seifert_qhs, r_invariant
 from .knots import KNOT_CATALOG, SeifertMatrix, alexander_from_seifert, lt_signature, nondegenerate_at
 from .lattice import CeProblem, GramForm, detect_orthogonal_split, enumerate_C_e, sfqhs_reducible_count
@@ -122,8 +122,6 @@ class ObstructionReport:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -257,7 +255,6 @@ def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> T
     profile = CsDenominatorProfile(
         component=f"surgery {strand.a}/{strand.b} on {strand.knot}",
         guaranteed_denominators=frozenset(denoms),
-        source="user-supplied",
         provenance=prov or "supplied without further provenance",
     )
     provenance.append(f"strand {strand.a}/{strand.b} ({strand.knot}): {profile.provenance}")
@@ -349,9 +346,7 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     # rho of each boundary piece in the d > 0 orientation
     rhos = [-_transfer(LensSpace(s.a, s.b), pair) for s, pair in zip(strands, sigmas)]
     p1 = Fraction(d, a)
-    ind = ind_plus_general(
-        IndexInputs(p1, 0, tuple(BoundaryTerm(1, rho) for rho in rhos))
-    )
+    ind = ind_plus_general(IndexInputs(p1, tuple(BoundaryTerm(1, rho) for rho in rhos)))
     r_value = r_invariant(S)
     # each knotted strand shifts the index by its Levine-Tristram signature:
     # rho_i = -(rho_lens + 2 sigma_i) enters with weight -1/2
@@ -631,13 +626,29 @@ def render_text(report: ObstructionReport) -> str:
     return "\n".join(out) + "\n"
 
 
+def _field(data: dict, name: str, parse):
+    # parse(data[name]); a missing or malformed field raises BadParameters naming it
+    if name not in data:
+        raise BadParameters(f"problem field {name!r} is missing")
+    try:
+        return parse(data[name])
+    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        raise BadParameters(f"problem field {name!r} is malformed: {exc}") from exc
+
+
 def run_problem(data: dict) -> ObstructionReport:
-    """Dispatch a problem description (parsed JSON) to the right checker."""
+    """Dispatch a problem description (parsed JSON) to the right checker.
+
+    A problem that is not a JSON object, or a missing or malformed field,
+    raises :class:`BadParameters` naming it."""
+    if not isinstance(data, dict):
+        raise BadParameters(f"a problem must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
     if kind == "seifert":
-        return check_fintushel_stern(SeifertData(tuple(map(tuple, data["pairs"]))))
+        return check_fintushel_stern(_field(data, "pairs", lambda v: SeifertData(tuple(map(tuple, v)))))
     if kind == "surgery-config":
-        return check_surgery_config(tuple(_strand_from_json(s) for s in data["strands"]))
+        return check_surgery_config(_field(data, "strands", lambda v: tuple(map(_strand_from_json, v))))
     if kind == "sfqhs-family":
-        return check_sfqhs_family(int(data["p"]), int(data["q"]), int(data["d"]), data["n_list"])
-    raise ValueError(f"unknown problem kind {kind!r}")
+        p, q, d = (_field(data, name, int) for name in "pqd")
+        return check_sfqhs_family(p, q, d, _field(data, "n_list", lambda v: tuple(map(int, v))))
+    raise BadParameters(f"unknown problem kind {kind!r}")

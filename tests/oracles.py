@@ -1,4 +1,5 @@
-"""Independent oracles for the exact cotangent sums, used only by the tests.
+"""Independent oracles for the exact cotangent sums and determinants, used
+only by the tests.
 
 The library evaluates
 
@@ -12,12 +13,18 @@ here share none of that code:
 * :func:`cyclo_make_cot_cot_sin2` and :func:`rational_extract` -- each
   summand exactly in Q(zeta_a);
 * :func:`float_oracle_sum` -- the sum in mpmath floating point.
+
+:func:`leibniz_det` is the oracle for the exact determinants
+(:func:`gaugecert.matutil.det_int`, the leading minors and the Alexander
+polynomial): the permutation expansion over Z[t], which shares nothing
+with the library's fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import mpmath
@@ -109,3 +116,24 @@ def float_oracle_sum(a: int, b: int, l: int, prec_bits: int | None = None) -> mp
         for k in range(1, a):
             total += mpmath.cot(pi_a * k) * mpmath.cot(pi_a * ((k * b) % a)) * mpmath.sin(pi_a * ((k * l) % a)) ** 2
         return 4 * total / a
+
+
+def leibniz_det(m) -> dict[int, int]:
+    """det(m) by the permutation expansion, for a square matrix whose
+    entries are integers or integer polynomials in t given as {exponent:
+    coefficient} dicts; returns the determinant as such a dict, zero
+    coefficients dropped.  O(n! n), for small n only."""
+    n = len(m)
+    total: dict[int, int] = {}
+    for perm in permutations(range(n)):
+        prod = {0: (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))}
+        for i, j in enumerate(perm):
+            entry = m[i][j] if isinstance(m[i][j], dict) else {0: m[i][j]}
+            nxt: dict[int, int] = {}
+            for e1, c1 in prod.items():
+                for e2, c2 in entry.items():
+                    nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
+            prod = nxt
+        for e, c in prod.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}

@@ -126,11 +126,21 @@ def test_report_json_reparses():
     assert report_to_json_dict(report_from_json_dict(data)) == data
 
 
-def test_exit_code_malformed():
+def test_exit_code_malformed(tmp_path):
     assert run("rho-lens", "6", "3", "1").returncode == 2          # gcd fail
     assert run("r-invariant", "3,1", "5,-2", "83,6").returncode == 2  # d != 1
     assert run("c-e", "/nonexistent/problem.json").returncode == 2
     assert run("rho-lens", "x", "y", "z").returncode == 2          # argparse
+    # malformed problem files: exit 2 with the bad field named, no traceback
+    for name, problem, field in (
+        ("pairs", {"kind": "seifert", "pairs": 5}, "'pairs'"),
+        ("list", [1, 2], "JSON object"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        r = run("check-fs", "--problem", str(path))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and field in r.stderr
 
 
 def test_exit_code_degenerate_transfer():

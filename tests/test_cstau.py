@@ -49,14 +49,13 @@ def test_profile_bound():
     prof = CsDenominatorProfile(
         component="surgery piece",
         guaranteed_denominators=frozenset({3, 24}),
-        source="user-supplied",
         provenance="external computation",
     )
     assert tau_lower_from_profile(prof).value == Fraction(1, 24)
     with pytest.raises(BadParameters):
-        CsDenominatorProfile("x", frozenset({24}), "user-supplied", provenance="")
+        CsDenominatorProfile("x", frozenset({24}), provenance="")
     with pytest.raises(BadParameters):
-        CsDenominatorProfile("x", frozenset(), "lens")
+        CsDenominatorProfile("x", frozenset(), provenance="external computation")
 
 
 def test_tau_hat():

@@ -27,7 +27,7 @@ from gaugecert import (
 
 
 def test_ind_plus_general_trivial():
-    inp = IndexInputs(Fraction(0), 0, (BoundaryTerm(3, Fraction(0), trivial=True),))
+    inp = IndexInputs(Fraction(0), (BoundaryTerm(3, Fraction(0), trivial=True),))
     assert ind_plus_general(inp) == -3
 
 
@@ -43,7 +43,7 @@ def test_ind_plus_general_sigma_2_3_11():
         return -rho_lens(LensSpace(a, b), meridian_holonomy(a, b % a))
 
     terms = tuple(BoundaryTerm(1, strand_rho(a, b)) for a, b in ((2, 1), (3, 1), (11, -9)))
-    inp = IndexInputs(Fraction(1, 66), 0, terms)
+    inp = IndexInputs(Fraction(1, 66), terms)
     assert ind_plus_general(inp) == 1
 
 

@@ -8,6 +8,7 @@ from math import gcd
 
 import mpmath
 import pytest
+from oracles import leibniz_det
 
 import gaugecert.knots as knots
 from gaugecert import (
@@ -30,7 +31,7 @@ def test_alexander_torus_examples():
     assert alexander_torus(2, 5).as_dict() == {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}
     # Alexander polynomial at t = 1 is a unit
     for p, q in ((2, 3), (3, 5), (2, 7), (4, 5)):
-        assert alexander_torus(p, q)(1) in (1, -1)
+        assert sum(c for _, c in alexander_torus(p, q).terms) in (1, -1)
     with pytest.raises(BadParameters):
         alexander_torus(2, 4)
 
@@ -39,6 +40,52 @@ def test_alexander_from_seifert_matches_catalog():
     assert alexander_from_seifert(KNOT_CATALOG["trefoil"]) == alexander_torus(2, 3)
     assert alexander_from_seifert(KNOT_CATALOG["figure8"]).as_dict() == {-1: 1, 0: -3, 1: 1}
     assert alexander_from_seifert(KNOT_CATALOG["unknot"]).as_dict() == {0: 1}
+
+
+def _random_unimodular_seifert(rng, genus, magnitude):
+    # V = P A P^T + S: A has blocks [[0, 1], [0, 0]], so V - V^T = P J P^T
+    # with det 1 for any unimodular P; S is symmetric with entries up to
+    # magnitude
+    n = 2 * genus
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+    A = [[int(j == i + 1 and i % 2 == 0) for j in range(n)] for i in range(n)]
+    V = [[sum(P[i][k] * A[k][l] * P[j][l] for k in range(n) for l in range(n)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = rng.randint(-magnitude, magnitude)
+            V[i][j] += s
+            if j != i:
+                V[j][i] += s
+    return SeifertMatrix(tuple(map(tuple, V)))
+
+
+def test_alexander_from_seifert_against_leibniz():
+    # det(t V - V^T) by the permutation expansion over Z[t], with the
+    # library's normalization (positive leading coefficient, support
+    # centred on 0); the Kronecker substitution relies on the coefficient
+    # bound B = prod_i sum_j (|V_ij| + |V_ji|), checked here too
+    rng = random.Random(1968)
+    large = 0
+    for k in range(540):
+        genus = (1, 2, 2, 3)[k % 4]
+        magnitude = (2, 10, 1000)[k % 3]
+        V = _random_unimodular_seifert(rng, genus, magnitude)
+        n, rows = V.size, V.rows
+        det = leibniz_det([[{1: rows[i][j], 0: -rows[j][i]} for j in range(n)] for i in range(n)])
+        bound = 1
+        for i in range(n):
+            bound *= sum(abs(rows[i][j]) + abs(rows[j][i]) for j in range(n))
+        assert max(map(abs, det.values())) <= bound
+        sign = 1 if det[max(det)] > 0 else -1
+        centre = (min(det) + max(det)) // 2
+        assert alexander_from_seifert(V).as_dict() == {e - centre: sign * c for e, c in det.items()}, rows
+        assert sum(det.values()) == 1  # det(V - V^T)
+        large += max(abs(x) for row in rows for x in row) >= 500
+    assert large >= 100
 
 
 def test_nondegenerate_examples():

@@ -10,9 +10,9 @@ from gaugecert import (
     BadParameters,
     LensSpace,
     cot_cot_sin2_sum,
-    lens_cs_values,
     nz_closed_form,
     rho_lens,
+    tau_lower_lens,
 )
 
 
@@ -68,7 +68,8 @@ def test_nz_identity_small_grid():
 
 
 def test_cs_values():
-    assert lens_cs_values(LensSpace(2, 1)).bound == 2
-    assert lens_cs_values(LensSpace(11, -2)).bound == Fraction(4, 11)
-    assert lens_cs_values(LensSpace(3, 1)).bound == Fraction(4, 3)
-    assert lens_cs_values(LensSpace(7, 2)).residue_modulus == 7
+    # Chern-Simons values on L(a, b) mod 4 lie in (4/a)Z, so tau >= 4/a
+    assert tau_lower_lens(LensSpace(2, 1)).value == 2
+    assert tau_lower_lens(LensSpace(11, -2)).value == Fraction(4, 11)
+    assert tau_lower_lens(LensSpace(3, 1)).value == Fraction(4, 3)
+    assert tau_lower_lens(LensSpace(7, 2)).value == Fraction(4, 7)
