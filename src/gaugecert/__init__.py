@@ -79,15 +79,14 @@ from .obstruct import (
     check_fintushel_stern,
     check_sfqhs_family,
     check_surgery_config,
+    read_ce_problem,
     render_text,
-    report_from_json_dict,
     report_to_json_dict,
     rho_transfer_surgery,
     run_problem,
 )
 from .seifert import (
     SeifertData,
-    SurgeryDesc,
     check_h1_z2,
     d_invariant,
     meridian_holonomy,

@@ -35,7 +35,6 @@ from .knots import KNOT_CATALOG, SeifertMatrix
 from .lattice import (
     CeProblem,
     GramForm,
-    Restriction,
     enumerate_C_e,
     enumerate_C_e_bruteforce,
     gram_determinant,
@@ -45,9 +44,10 @@ from .lattice import (
 from .lens import LensSpace, nz_closed_form, rho_lens
 from .cstau import tau_lower_from_denominator, tau_lower_lens, tau_lower_seifert
 from .obstruct import (
-    Strand,
+    _field,
     check_fintushel_stern,
     check_sfqhs_family,
+    read_ce_problem,
     render_text,
     report_to_json_dict,
     rho_transfer_surgery,
@@ -120,7 +120,7 @@ def _cmd_tau_bound(args) -> tuple[dict, str]:
     elif args.seifert:
         bound = tau_lower_seifert(SeifertData(tuple(args.seifert)))
         source = "seifert"
-    elif args.denominator:
+    elif args.denominator is not None:
         bound = tau_lower_from_denominator(args.denominator)
         source = f"denominator {args.denominator}"
     else:
@@ -149,14 +149,7 @@ def _cmd_plumbing(args) -> tuple[dict, str]:
 
 def _cmd_c_e(args) -> tuple[dict, str]:
     with open(args.problem, encoding="utf-8") as fh:
-        data = json.load(fh)
-    form = GramForm.from_json_dict(data["form"])
-    problem = CeProblem(
-        form=form,
-        e=tuple(data["e"]),
-        restrictions=tuple(Restriction.from_json_dict(r) for r in data.get("restrictions", ())),
-    )
-    classes = enumerate_C_e(problem)
+        classes = enumerate_C_e(read_ce_problem(json.load(fh)))
     payload = {"classes": [list(c) for c in classes], "count": len(classes)}
     return payload, "".join(f"{list(c)}\n" for c in classes) + f"count = {len(classes)}\n"
 
@@ -179,7 +172,7 @@ def _cmd_check_family(args) -> tuple[dict, str]:
 
 def _cmd_rho_transfer(args) -> tuple[dict, str]:
     if args.seifert_matrix:
-        matrix = SeifertMatrix(tuple(tuple(row) for row in json.loads(args.seifert_matrix)))
+        matrix = _field(vars(args), "seifert_matrix", lambda v: SeifertMatrix(json.loads(v)))
     else:
         if args.knot not in KNOT_CATALOG:
             raise GaugeCertError(f"unknown knot {args.knot!r}")

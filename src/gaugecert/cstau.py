@@ -23,6 +23,7 @@ surgeries on genuinely knotted strands) need a user-supplied
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -71,7 +72,7 @@ class CsDenominatorProfile:
     provenance: str
 
     def __post_init__(self) -> None:
-        denoms = frozenset(int(k) for k in self.guaranteed_denominators)
+        denoms = frozenset(map(operator.index, self.guaranteed_denominators))
         if not denoms or any(k < 1 for k in denoms):
             raise BadParameters("denominators must be positive integers")
         if not self.provenance:

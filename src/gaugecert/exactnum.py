@@ -174,17 +174,17 @@ class CycloElement:
 
     def __post_init__(self) -> None:
         assert self.order >= 1
-        assert len(self.coeffs) == euler_phi(self.order)
+        assert len(self.coeffs) == len(cyclotomic_poly(self.order)) - 1
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order: int) -> "CycloElement":
-        return CycloElement(order, (0,) * euler_phi(order))
+        return CycloElement(order, (0,) * (len(cyclotomic_poly(order)) - 1))
 
     @staticmethod
     def from_rational(order: int, value) -> "CycloElement":
-        c = [0] * euler_phi(order)
+        c = [0] * (len(cyclotomic_poly(order)) - 1)
         c[0] = value if isinstance(value, int) else Fraction(value)
         return CycloElement(order, tuple(c))
 
@@ -249,7 +249,7 @@ class CycloElement:
         assert len(r0) == 1, "Phi_a not coprime to a nonzero element"
         inv = [c / r0[0] for c in s0]
         # reduce mod Phi_a back into the power basis
-        n = euler_phi(self.order)
+        n = len(phi) - 1
         table = _zeta_power_table(self.order)
         out = [Fraction(0)] * n
         for m, c in enumerate(inv):

@@ -35,6 +35,7 @@ built-in catalog (unknot, trefoil, figure8).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -163,7 +164,7 @@ class SeifertMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise BadParameters("Seifert matrix must be square")

@@ -30,6 +30,7 @@ C(e) is a single point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
@@ -73,6 +74,8 @@ class GramForm:
     check: InitVar[bool] = True
 
     def __post_init__(self, check: bool) -> None:
+        object.__setattr__(self, "rank", operator.index(self.rank))
+        object.__setattr__(self, "scale", operator.index(self.scale))
         if self.scale < 1:
             raise BadParameters("scale must be a positive integer")
         if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
@@ -98,21 +101,6 @@ class GramForm:
                 row = self.gram[i]
                 total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
         return Fraction(total)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "gram": [[str(Fraction(x)) for x in row] for row in self.gram],
-            "scale": self.scale,
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "GramForm":
-        return GramForm(
-            rank=int(data["rank"]),
-            gram=tuple(tuple(Fraction(x) for x in row) for row in data["gram"]),
-            scale=int(data.get("scale", 1)),
-        )
 
 
 def _is_tridiagonal(g) -> bool:
@@ -184,16 +172,10 @@ class Restriction:
     row: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modulus", operator.index(self.modulus))
         if self.modulus < 1:
             raise BadParameters("restriction modulus must be positive")
-        object.__setattr__(self, "row", tuple(int(x) for x in self.row))
-
-    def to_json_dict(self) -> dict:
-        return {"modulus": self.modulus, "row": list(self.row)}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Restriction":
-        return Restriction(int(data["modulus"]), tuple(data["row"]))
+        object.__setattr__(self, "row", tuple(map(operator.index, self.row)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +185,7 @@ class CeProblem:
     restrictions: tuple[Restriction, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e", tuple(int(x) for x in self.e))
+        object.__setattr__(self, "e", tuple(map(operator.index, self.e)))
         object.__setattr__(self, "restrictions", tuple(self.restrictions))
         if len(self.e) != self.form.rank:
             raise BadParameters("class length does not match form rank")
@@ -379,7 +361,7 @@ def detect_orthogonal_split(G: GramForm, e) -> bool:
     """
     if not is_negative_definite(G):
         raise NotDefinite("orthogonal split test requires a negative definite form")
-    e = tuple(int(x) for x in e)
+    e = tuple(map(operator.index, e))
     if len(e) != G.rank:
         raise BadParameters("class length does not match form rank")
     if all(x == 0 for x in e):

@@ -38,6 +38,8 @@ once, and the transfer and the cross-check both read them.
 from __future__ import annotations
 
 import json
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -55,7 +57,7 @@ from .cstau import (
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
 from .index import BoundaryTerm, IndexInputs, ind_plus_general, ind_plus_seifert_qhs, r_invariant
 from .knots import KNOT_CATALOG, SeifertMatrix, alexander_from_seifert, lt_signature, nondegenerate_at
-from .lattice import CeProblem, GramForm, detect_orthogonal_split, enumerate_C_e, sfqhs_reducible_count
+from .lattice import CeProblem, GramForm, Restriction, detect_orthogonal_split, enumerate_C_e, sfqhs_reducible_count
 from .lens import LensSpace, rho_lens
 from .seifert import SeifertData, check_h1_z2, d_invariant, meridian_holonomy, torus_knot_surgery
 
@@ -67,8 +69,8 @@ __all__ = [
     "check_fintushel_stern",
     "check_sfqhs_family",
     "check_surgery_config",
+    "read_ce_problem",
     "render_text",
-    "report_from_json_dict",
     "report_to_json_dict",
     "rho_transfer_surgery",
     "run_problem",
@@ -180,7 +182,7 @@ class Strand:
             object.__setattr__(self, "seifert_matrix", KNOT_CATALOG[self.knot])
         elif self.knot == "unknot" and self.seifert_matrix.size > 0:
             object.__setattr__(self, "knot", "custom")
-        object.__setattr__(self, "cs_denominators", frozenset(int(k) for k in self.cs_denominators))
+        object.__setattr__(self, "cs_denominators", frozenset(map(operator.index, self.cs_denominators)))
 
     @property
     def knotted(self) -> bool:
@@ -431,7 +433,7 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     exactly, and the reducible count is pinned to the single witness k = 1
     with odd parity.
     """
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(map(operator.index, n_list))
     problem = {"kind": "sfqhs-family", "p": p, "q": q, "d": d, "n_list": list(n_list)}
     lines = _Lines()
     provenance: list[str] = []
@@ -576,12 +578,10 @@ def _strand_json(s: Strand) -> dict:
 
 
 def _strand_from_json(data: dict) -> Strand:
-    matrix = None
-    if "seifert_matrix" in data:
-        matrix = SeifertMatrix(tuple(tuple(row) for row in data["seifert_matrix"]))
+    matrix = SeifertMatrix(data["seifert_matrix"]) if "seifert_matrix" in data else None
     return Strand(
-        a=int(data["a"]),
-        b=int(data["b"]),
+        a=operator.index(data["a"]),
+        b=operator.index(data["b"]),
         knot=data.get("knot", "unknot" if matrix is None else "custom"),
         seifert_matrix=matrix,
         cs_denominators=frozenset(data.get("cs_denominators", ())),
@@ -601,18 +601,6 @@ def report_to_json_dict(report: ObstructionReport) -> dict:
     }
 
 
-def report_from_json_dict(data: dict) -> ObstructionReport:
-    return ObstructionReport(
-        problem=data["problem"],
-        hypotheses=tuple(
-            HypothesisLine(h["name"], h["formula"], h["value"], h["verdict"])
-            for h in data["hypotheses"]
-        ),
-        conclusion=data["conclusion"],
-        provenance=tuple(data.get("provenance", ())),
-    )
-
-
 def render_text(report: ObstructionReport) -> str:
     """Human-readable rendering; symbols (p_1, tau_hat, Ind+, R) match the
     JSON line names so reports can be checked line by line."""
@@ -626,29 +614,55 @@ def render_text(report: ObstructionReport) -> str:
     return "\n".join(out) + "\n"
 
 
+def _rational(x):
+    # a gram entry: a JSON integer or a "num/den" string
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
+        return Fraction(x)
+    return operator.index(x)
+
+
 def _field(data: dict, name: str, parse):
-    # parse(data[name]); a missing or malformed field raises BadParameters naming it
+    # parse(data[name]); a top level that is not an object, or a missing or
+    # malformed field, raises BadParameters naming it
+    if not isinstance(data, dict):
+        raise BadParameters(f"the input must be a JSON object, not {type(data).__name__}")
     if name not in data:
-        raise BadParameters(f"problem field {name!r} is missing")
+        raise BadParameters(f"field {name!r} is missing")
     try:
         return parse(data[name])
-    except (TypeError, ValueError, AttributeError, KeyError) as exc:
-        raise BadParameters(f"problem field {name!r} is malformed: {exc}") from exc
+    except (TypeError, ValueError, AttributeError, KeyError, ZeroDivisionError) as exc:
+        detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise BadParameters(f"field {name!r} is malformed: {detail}") from exc
 
 
 def run_problem(data: dict) -> ObstructionReport:
     """Dispatch a problem description (parsed JSON) to the right checker.
 
-    A problem that is not a JSON object, or a missing or malformed field,
-    raises :class:`BadParameters` naming it."""
-    if not isinstance(data, dict):
-        raise BadParameters(f"a problem must be a JSON object, not {type(data).__name__}")
-    kind = data.get("kind")
+    Integer fields must be JSON integers.  A problem that is not a JSON
+    object, or a missing or malformed field, raises :class:`BadParameters`
+    naming it."""
+    kind = _field(data, "kind", lambda v: v)
     if kind == "seifert":
-        return check_fintushel_stern(_field(data, "pairs", lambda v: SeifertData(tuple(map(tuple, v)))))
+        return check_fintushel_stern(_field(data, "pairs", SeifertData))
     if kind == "surgery-config":
         return check_surgery_config(_field(data, "strands", lambda v: tuple(map(_strand_from_json, v))))
     if kind == "sfqhs-family":
-        p, q, d = (_field(data, name, int) for name in "pqd")
-        return check_sfqhs_family(p, q, d, _field(data, "n_list", lambda v: tuple(map(int, v))))
+        p, q, d = (_field(data, name, operator.index) for name in "pqd")
+        return check_sfqhs_family(p, q, d, _field(data, "n_list", lambda v: tuple(map(operator.index, v))))
     raise BadParameters(f"unknown problem kind {kind!r}")
+
+
+def _gram_form(data: dict) -> GramForm:
+    gram = tuple(tuple(map(_rational, row)) for row in data["gram"])
+    return GramForm(data["rank"], gram, data.get("scale", 1))
+
+
+def read_ce_problem(data: dict) -> CeProblem:
+    """A C(e) problem from its description (parsed JSON: ``form``, ``e`` and
+    optional ``restrictions``); errors are raised as by :func:`run_problem`."""
+    form = _field(data, "form", _gram_form)
+    e = _field(data, "e", lambda v: tuple(map(operator.index, v)))
+    restrictions = ()
+    if "restrictions" in data:
+        restrictions = _field(data, "restrictions", lambda v: tuple(Restriction(r["modulus"], r["row"]) for r in v))
+    return CeProblem(form, e, restrictions)

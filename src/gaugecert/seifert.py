@@ -23,7 +23,7 @@ deterministic.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -32,7 +32,6 @@ from .exactnum import inverse_mod
 
 __all__ = [
     "SeifertData",
-    "SurgeryDesc",
     "check_h1_z2",
     "d_invariant",
     "meridian_holonomy",
@@ -47,7 +46,7 @@ class SeifertData:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        pairs = tuple((operator.index(a), operator.index(b)) for a, b in self.pairs)
         for a, b in pairs:
             if a < 1:
                 raise BadParameters(f"multiplicity {a} must be positive")
@@ -70,31 +69,9 @@ class SeifertData:
         """Orientation reversal: flips the sign of every b_i (and of d)."""
         return SeifertData(tuple((a, -b) for a, b in self.pairs))
 
-    def to_json(self) -> str:
-        return json.dumps({"pairs": [[a, b] for a, b in self.pairs]})
-
-    @staticmethod
-    def from_json(text: str) -> "SeifertData":
-        data = json.loads(text)
-        return SeifertData(tuple((int(a), int(b)) for a, b in data["pairs"]))
-
     def __str__(self) -> str:
         inner = ",".join(f"({a},{b})" for a, b in self.pairs)
         return f"S(0;{inner})"
-
-
-@dataclass(frozen=True)
-class SurgeryDesc:
-    """Torus-knot surgery parameters: -d/n surgery on the (p, -q) torus knot."""
-
-    p: int
-    q: int
-    d: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if gcd(self.p, self.q) != 1:
-            raise BadParameters(f"gcd({self.p}, {self.q}) != 1")
 
 
 def d_invariant(S: SeifertData) -> int:

@@ -11,7 +11,8 @@ here share none of that code:
 * :func:`sawtooth_convolution` -- the O(a) integer sum E(m) that the
   recursion evaluates in O(log a), term by term;
 * :func:`cyclo_make_cot_cot_sin2` and :func:`rational_extract` -- each
-  summand exactly in Q(zeta_a);
+  summand exactly in Q(zeta_a), from integer products in Z[zeta_a] and
+  the field inverses 1/(zeta^m - 1), each computed once per (a, m);
 * :func:`float_oracle_sum` -- the sum in mpmath floating point.
 
 :func:`leibniz_det` is the oracle for the exact determinants
@@ -22,10 +23,11 @@ with the library's fraction-free elimination.
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
@@ -50,6 +52,14 @@ def sawtooth_sum(a: int, b: int, l: int) -> Fraction:
     return Fraction(sawtooth_convolution(a, c, l) - sawtooth_convolution(a, c, 0), 2 * a)
 
 
+@functools.lru_cache(maxsize=None)
+def _inverse_zeta_minus_one(a: int, m: int) -> tuple[CycloElement, int]:
+    # 1/(zeta_a^m - 1) as (an element of Z[zeta_a], a positive integer denominator)
+    inv = (CycloElement.zeta(a, m) - CycloElement.from_rational(a, 1)).inverse()
+    den = lcm(*(Fraction(c).denominator for c in inv.coeffs))
+    return CycloElement(a, tuple((c * den).numerator for c in inv.coeffs)), den
+
+
 def cyclo_make_cot_cot_sin2(a: int, k: int, b: int, l: int) -> CycloElement:
     """The summand cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a) in Q(zeta_a).
 
@@ -60,7 +70,9 @@ def cyclo_make_cot_cot_sin2(a: int, k: int, b: int, l: int) -> CycloElement:
         -(zeta^k + 1)(zeta^(kb) + 1)(2 - zeta^(kl) - zeta^(-kl))
         / (4 (zeta^k - 1)(zeta^(kb) - 1)),
 
-    the two factors of i cancelling into the leading sign.
+    the two factors of i cancelling into the leading sign.  The two
+    inverses come from :func:`_inverse_zeta_minus_one`, so the numerator
+    is an integer product and only the final scaling is rational.
     """
     if a < 2:
         raise BadParameters("order a must be at least 2")
@@ -74,9 +86,10 @@ def cyclo_make_cot_cot_sin2(a: int, k: int, b: int, l: int) -> CycloElement:
     zkb = CycloElement.zeta(a, k * b)
     zkl = CycloElement.zeta(a, k * l)
     zkl_inv = CycloElement.zeta(a, -k * l)
-    num = -((zk + one) * (zkb + one) * (two - zkl - zkl_inv))
-    den = ((zk - one) * (zkb - one)).scale(4)
-    return num / den
+    inv_k, den_k = _inverse_zeta_minus_one(a, k % a)
+    inv_kb, den_kb = _inverse_zeta_minus_one(a, k * b % a)
+    num = -((zk + one) * (zkb + one) * (two - zkl - zkl_inv) * inv_k * inv_kb)
+    return num.scale(Fraction(1, 4 * den_k * den_kb))
 
 
 def rational_extract(x: CycloElement) -> Fraction:

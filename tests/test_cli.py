@@ -1,10 +1,12 @@
 """Command line behaviour: verbs, exit codes, deterministic output, and
-problem-file round trips."""
+problem files, well-formed and malformed."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 BASE = [sys.executable, "-m", "gaugecert.cli"]
 
@@ -118,29 +120,48 @@ def test_output_deterministic(tmp_path):
     assert out.read_text(encoding="utf-8") == a.stdout
 
 
-def test_report_json_reparses():
-    r = run("check-fs", "2,1", "3,1", "11,-9")
-    data = json.loads(r.stdout)
-    from gaugecert import report_from_json_dict, report_to_json_dict
+FORM = {"rank": 1, "gram": [["-1"]]}
+FIGURE8 = {"a": 3, "b": -1, "knot": "figure8", "provenance": "test"}
+STRANDS = [{"a": 2, "b": 1}, FIGURE8, {"a": 11, "b": -2}]
 
-    assert report_to_json_dict(report_from_json_dict(data)) == data
+# (verb, file contents, field the error must name): non-integers are
+# refused, never truncated, and a wrong shape is named, never a traceback
+MALFORMED_FILES = [
+    ("check-fs", {"kind": "seifert", "pairs": 5}, "'pairs'"),
+    ("check-fs", [1, 2], "JSON object"),
+    ("check-fs", {"kind": "seifert", "pairs": [[2, 1], [3, 1], [5, -4.9]]}, "'pairs'"),
+    ("check-fs", {"kind": "seifert", "pairs": [[2, 1], [3, 1], ["5", "-4"]]}, "'pairs'"),
+    ("check-fs", {"kind": "sfqhs-family", "p": 3.9, "q": 5, "d": 7, "n_list": [6, 48]}, "'p'"),
+    ("check-fs", {"kind": "sfqhs-family", "p": 3, "q": 5, "d": 7, "n_list": [6.5, 48]}, "'n_list'"),
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {**FIGURE8, "cs_denominators": [24.5]}, STRANDS[2]]}, "'strands'"),
+    ("c-e", {"form": 5, "e": [1]}, "'form'"),
+    ("c-e", [1], "JSON object"),
+    ("c-e", {"form": FORM, "e": 5}, "'e'"),
+    ("c-e", {"form": FORM, "e": [1.7]}, "'e'"),
+    ("c-e", {"form": {**FORM, "scale": 1.5}, "e": [1]}, "'form'"),
+]
 
 
-def test_exit_code_malformed(tmp_path):
+@pytest.mark.parametrize("verb, problem, field", MALFORMED_FILES)
+def test_exit_code_malformed_file(tmp_path, verb, problem, field):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    r = run(verb, *(["--problem"] if verb == "check-fs" else []), str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr and field in r.stderr
+
+
+def test_exit_code_malformed():
     assert run("rho-lens", "6", "3", "1").returncode == 2          # gcd fail
     assert run("r-invariant", "3,1", "5,-2", "83,6").returncode == 2  # d != 1
     assert run("c-e", "/nonexistent/problem.json").returncode == 2
     assert run("rho-lens", "x", "y", "z").returncode == 2          # argparse
-    # malformed problem files: exit 2 with the bad field named, no traceback
-    for name, problem, field in (
-        ("pairs", {"kind": "seifert", "pairs": 5}, "'pairs'"),
-        ("list", [1, 2], "JSON object"),
-    ):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(problem), encoding="utf-8")
-        r = run("check-fs", "--problem", str(path))
-        assert r.returncode == 2
-        assert "Traceback" not in r.stderr and field in r.stderr
+    r = run("rho-transfer", "3", "1", "--seifert-matrix", "5")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "'seifert_matrix'" in r.stderr
+    r = run("tau-bound", "--denominator", "0")
+    assert r.returncode == 2 and "denominator must be a positive integer" in r.stderr
 
 
 def test_exit_code_degenerate_transfer():

@@ -56,6 +56,8 @@ def test_profile_bound():
         CsDenominatorProfile("x", frozenset({24}), provenance="")
     with pytest.raises(BadParameters):
         CsDenominatorProfile("x", frozenset(), provenance="external computation")
+    with pytest.raises(TypeError):
+        CsDenominatorProfile("x", frozenset({24.5}), provenance="external computation")
 
 
 def test_tau_hat():

@@ -116,6 +116,8 @@ def test_seifert_matrix_validation():
         SeifertMatrix(((1, 0), (0, 1)))  # V - V^T = 0, not unimodular
     with pytest.raises(BadParameters):
         SeifertMatrix(((1, 2), (3,)))
+    with pytest.raises(TypeError):  # refused, not truncated to the trefoil
+        SeifertMatrix(((-1.5, 1), (0, -1)))
     assert SeifertMatrix(()).size == 0
 
 

@@ -45,6 +45,12 @@ def test_gram_validation():
         GramForm(1, ((Fraction(1, 3),),), scale=2)
     G = GramForm(1, ((Fraction(-1, 3),),), scale=3)
     assert G.scaled_int_rows() == [[-1]]
+    with pytest.raises(TypeError):
+        GramForm(1, ((-1,),), scale=1.5)
+    with pytest.raises(TypeError):
+        CeProblem(_diag(-1), (1.7,))
+    with pytest.raises(TypeError):
+        Restriction(5, ("1",))
 
 
 def test_plumbing_examples():
@@ -55,13 +61,6 @@ def test_plumbing_examples():
     assert g72.gram == ((-4, 1), (1, -2))
     assert gram_determinant(g72) == 7
     assert abs(gram_determinant(plumbing_gram(hj_expand(11, 2)))) == 11
-
-
-def test_json_roundtrip():
-    G = GramForm(2, ((Fraction(-1, 3), Fraction(0)), (Fraction(0), Fraction(-2, 3))), scale=3)
-    assert GramForm.from_json_dict(G.to_json_dict()) == G
-    r = Restriction(5, (1, 2))
-    assert Restriction.from_json_dict(r.to_json_dict()) == r
 
 
 def test_ce_examples():
@@ -131,6 +130,8 @@ def test_split_examples():
     assert detect_orthogonal_split(_diag(-2, -2), (0, 0))
     with pytest.raises(NotDefinite):
         detect_orthogonal_split(_diag(-1, 1), (1, 0))
+    with pytest.raises(TypeError):
+        detect_orthogonal_split(_diag(-1, -9), (3, 1.5))
 
 
 def test_plumbing_split_with_unimodular_block():

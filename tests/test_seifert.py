@@ -27,6 +27,8 @@ def test_validation():
         SeifertData(((4, 2),))
     with pytest.raises(BadParameters):
         SeifertData(((0, 1),))
+    with pytest.raises(TypeError):  # refused, not truncated to (5, -4)
+        SeifertData(((2, 1), (3, 1), (5, -4.9)))
 
 
 def test_reversal():
@@ -83,18 +85,3 @@ def test_check_h1_z2():
     assert check_h1_z2(SeifertData(((2, 1), (3, 1), (5, -4))))
     assert not check_h1_z2(SeifertData(((2, 1), (4, 1), (5, 2))))
     assert check_h1_z2(SeifertData(((3, 1), (5, -2), (83, 6))))
-
-
-def test_json_roundtrip():
-    S = SeifertData(((2, 1), (3, -1), (7, -1)))
-    assert SeifertData.from_json(S.to_json()) == S
-    assert S.to_json() == '{"pairs": [[2, 1], [3, -1], [7, -1]]}'
-
-
-def test_surgery_desc():
-    from gaugecert import SurgeryDesc
-
-    desc = SurgeryDesc(p=3, q=5, d=7, n=6)
-    assert torus_knot_surgery(desc.p, desc.q, desc.d, desc.n).pairs[2] == (83, 6)
-    with pytest.raises(BadParameters):
-        SurgeryDesc(p=4, q=6, d=1, n=1)
