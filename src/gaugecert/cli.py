@@ -172,7 +172,9 @@ def _cmd_check_family(args) -> tuple[dict, str]:
 
 def _cmd_rho_transfer(args) -> tuple[dict, str]:
     if args.seifert_matrix:
-        matrix = _field(vars(args), "seifert_matrix", lambda v: SeifertMatrix(json.loads(v)))
+        # parsed first, so that the boolean check sees the matrix
+        value = _field(vars(args), "seifert_matrix", json.loads)
+        matrix = _field({"seifert_matrix": value}, "seifert_matrix", SeifertMatrix)
     else:
         if args.knot not in KNOT_CATALOG:
             raise GaugeCertError(f"unknown knot {args.knot!r}")

@@ -479,11 +479,12 @@ class HJExpansion:
         return v
 
     def continuants(self) -> tuple[int, ...]:
-        """Leading principal minors of the associated (positive) plumbing
-        matrix: D_k = c_k D_(k-1) - D_(k-2); the last one equals a."""
-        prev2, prev1 = 1, self.terms[0]
-        out = [prev1]
-        for c in self.terms[1:]:
+        """Trailing principal minors K_k = c_k K_(k+1) - K_(k+2) of the
+        associated (positive) plumbing matrix, k = m, ..., 1: as a/b =
+        K_1 / K_2, the last one is a and the one before it b (1 if m = 1)."""
+        prev2, prev1 = 0, 1
+        out = []
+        for c in reversed(self.terms):
             prev2, prev1 = prev1, c * prev1 - prev2
             out.append(prev1)
         return tuple(out)
@@ -505,5 +506,6 @@ def hj_expand(a: int, b: int) -> HJExpansion:
             break
         a0, b0 = b0, r
     exp = HJExpansion(a, b, tuple(terms))
-    assert exp.value() == Fraction(a, b)
+    if (1, *exp.continuants())[-2:] != (b, a):
+        raise InternalCheckError(f"Hirzebruch-Jung expansion {terms} does not evaluate to {a}/{b}")
     return exp

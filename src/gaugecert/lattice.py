@@ -14,10 +14,12 @@ reducible instantons is
     C(e) = { e' | e'.e' = e.e,  e' = e mod 2,  each boundary restriction
              of e' equals that of e up to sign } / +-1 .
 
-:func:`enumerate_C_e` enumerates it completely by a Fincke-Pohst style
-recursion over the exact rational Cholesky decomposition of the (positive
-definite) negated form; :func:`enumerate_C_e_bruteforce` is an independent
-box-scan oracle used by the test suite and the self-test command, with the
+:func:`enumerate_C_e` enumerates it completely by a Fincke-Pohst
+recursion in integers only, over the fraction-free (Bareiss) rows of the
+integer matrix -scale * gram that every form keeps; Fractions appear only
+where a form is read in and where a pairing is reported.
+:func:`enumerate_C_e_bruteforce` is an independent box-scan oracle used
+by the test suite and the self-test command, with the
 coordinate box computed exactly from the diagonal of the inverse form.
 Sign classes are canonicalized so the first nonzero coordinate is
 positive, and output is sorted, hence deterministic even if the search is
@@ -31,13 +33,13 @@ C(e) is a single point.
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from .errors import BadParameters, HypothesisFailed, NotDefinite
+from .errors import BadParameters, HypothesisFailed, InternalCheckError, NotDefinite
 from .exactnum import HJExpansion, xgcd
-from .matutil import bareiss_leading_minors, det_int, kernel_basis_int
+from .matutil import bareiss_leading_minors, bareiss_rows, det_int, kernel_basis_int
 
 __all__ = [
     "CeProblem",
@@ -63,44 +65,48 @@ class GramForm:
     """Symmetric rational pairing with values in (1/scale) Z.
 
     Rows may mix ints and Fractions; both are exact rationals.  Symmetry
-    and integrality of scale * gram are validated unless ``check=False``
-    (used by constructors that guarantee them, e.g. plumbings, where
-    re-checking every entry of a large sparse matrix would dominate).
+    and integrality of scale * gram are validated unless ``check=False``,
+    which constructors that guarantee a symmetric integer matrix at scale 1
+    use (plumbings, where re-checking every entry of a large sparse matrix
+    would dominate).  The integer matrix scale * gram is kept as ``rows``;
+    all arithmetic on the form reads it.
     """
 
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
     scale: int = 1
     check: InitVar[bool] = True
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, check: bool) -> None:
         object.__setattr__(self, "rank", operator.index(self.rank))
         object.__setattr__(self, "scale", operator.index(self.scale))
-        if self.scale < 1:
-            raise BadParameters("scale must be a positive integer")
+        if self.scale < 1 or not (check or self.scale == 1):
+            raise BadParameters("scale must be a positive integer, and 1 for an unchecked form")
         if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
             raise BadParameters("gram matrix shape does not match rank")
+        rows = self.gram
         if check:
-            g = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
+            g = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in self.gram)
+            scaled = [[self.scale * x for x in row] for row in g]
             for i in range(self.rank):
                 for j in range(i, self.rank):
                     if g[i][j] != g[j][i]:
                         raise BadParameters("gram matrix must be symmetric")
-                    if (self.scale * g[i][j]).denominator != 1:
+                    if scaled[i][j].denominator != 1:
                         raise BadParameters("scale * gram must be integral")
             object.__setattr__(self, "gram", g)
-
-    def scaled_int_rows(self) -> list[list[int]]:
-        return [[int(self.scale * x) for x in row] for row in self.gram]
+            rows = tuple(tuple(x.numerator for x in row) for row in scaled)
+        object.__setattr__(self, "rows", rows)
 
     def apply(self, x, y) -> Fraction:
         """The pairing x . y."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return Fraction(total)
+        return Fraction(_pair(self.rows, x, y), self.scale)
+
+
+def _pair(rows, x, y) -> int:
+    # x . (rows y) for integer vectors
+    return sum(xi * sum(r * yj for r, yj in zip(row, y) if yj) for xi, row in zip(x, rows) if xi)
 
 
 def _is_tridiagonal(g) -> bool:
@@ -123,14 +129,12 @@ def _tridiag_leading_minors(rows) -> list:
 
 
 def is_negative_definite(G: GramForm) -> bool:
-    """Exact leading-principal-minor test: the k-th minor must have sign
-    (-1)^k for every k; rank deficiency (a zero minor) is rejected."""
+    """Exact leading-principal-minor test on the integer matrix scale *
+    gram: the k-th minor must have sign (-1)^k for every k; rank deficiency
+    (a zero minor) is rejected."""
     if G.rank == 0:
         return True
-    if _is_tridiagonal(G.gram):
-        minors = _tridiag_leading_minors(G.gram)
-    else:
-        minors = bareiss_leading_minors(G.scaled_int_rows())
+    minors = _tridiag_leading_minors(G.rows) if _is_tridiagonal(G.rows) else bareiss_leading_minors(G.rows)
     return all((m < 0) if k % 2 else (m > 0) for k, m in enumerate(minors, start=1))
 
 
@@ -138,9 +142,8 @@ def gram_determinant(G: GramForm) -> Fraction:
     """Exact determinant of the gram matrix."""
     if G.rank == 0:
         return Fraction(1)
-    if _is_tridiagonal(G.gram):
-        return Fraction(_tridiag_leading_minors(G.gram)[-1])
-    return Fraction(det_int(G.scaled_int_rows()), G.scale**G.rank)
+    det = _tridiag_leading_minors(G.rows)[-1] if _is_tridiagonal(G.rows) else det_int(G.rows)
+    return Fraction(det, G.scale**G.rank)
 
 
 def plumbing_gram(h: HJExpansion) -> GramForm:
@@ -238,83 +241,54 @@ def _class_representative(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical_sign(x)
 
 
-def _cholesky_q(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    # Fincke-Pohst normal form: Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2
-    n = len(a)
-    q = [row[:] for row in a]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise NotDefinite("form is not negative definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
-
-
-def _int_interval(center: Fraction, radius_sq: Fraction) -> range:
-    """All integers m with (m + center)^2 <= radius_sq, exactly.
-
-    m <= -center + sqrt(radius_sq) iff m + center <= 0 or (m + center)^2 <=
-    radius_sq (and symmetrically for the lower end), so both endpoints are
-    found by stepping from floor/ceil of -center, which always satisfy the
-    one-sided conditions.
-    """
-    if radius_sq < 0:
-        return range(0)
-    hi = floor(-center)
-    while (hi + 1 + center) <= 0 or (hi + 1 + center) ** 2 <= radius_sq:
-        hi += 1
-    lo = ceil(-center)
-    while (lo - 1 + center) >= 0 or (lo - 1 + center) ** 2 <= radius_sq:
-        lo -= 1
-    return range(lo, hi + 1)
-
-
 def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     """Complete enumeration of C(e), one representative per sign class,
     sorted.  Representatives are sign-canonical (first nonzero coordinate
     positive) except where the restriction data pins the sign, in which
     case the pinned sign is reported.
 
-    Fincke-Pohst style: recurse over the exact rational Cholesky
-    decomposition of -gram, carrying the exact remaining budget, and accept
-    exactly the vectors of the right norm that survive the mod-2 and
-    restriction filters.
+    Fincke-Pohst (Math. Comp. 44, 1985) in integers: for A = -scale * gram
+    with Bareiss rows b_ij and leading minors D_i (D_0 = 1, b_ii = D_(i+1)),
+    x.Ax = sum_i y_i^2 / (D_i D_(i+1)), y_i = D_(i+1) x_i + sum_(j>i) b_ij x_j.
+    Level i admits the x_i with y_i^2 <= D_i W_i (one isqrt), W_i being the
+    budget left times D_(i+1), and passes down the exact quotient
+    W_(i-1) = (D_i W_i - y_i^2) / D_(i+1); a leaf needs W = 0, and then the
+    mod-2 and restriction filters.
     """
     n = P.form.rank
-    target = -P.form.apply(P.e, P.e)
-    assert target >= 0
+    budget = -_pair(P.form.rows, P.e, P.e)  # scale * target
+    if budget < 0:
+        raise InternalCheckError(f"a negative definite form gave e.e = {-budget}/{P.form.scale} > 0")
     if n == 0:
         return ((),)
-    a = [[Fraction(-x) for x in row] for row in P.form.gram]
-    q = _cholesky_q(a)
+    b = bareiss_rows([[-v for v in row] for row in P.form.rows])
+    D = [1] + [b[i][i] for i in range(n)]
+    if min(D) <= 0:
+        raise NotDefinite("form is not negative definite")
     found: set[tuple[int, ...]] = set()
     x = [0] * n
 
-    def descend(i: int, budget: Fraction) -> None:
-        center = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        for m in _int_interval(center, budget / q[i][i]):
+    def descend(i: int, w: int) -> None:
+        d = D[i + 1]
+        N = sum(b[i][j] * x[j] for j in range(i + 1, n))
+        r2 = D[i] * w
+        s = isqrt(r2)
+        for m in range(-((s + N) // d), (s - N) // d + 1):
             x[i] = m
-            used = q[i][i] * (m + center) ** 2
-            if i == 0:
-                if used == budget:
-                    cand = tuple(x)
-                    if _passes_filters(P, cand):
-                        found.add(_class_representative(P, cand))
-            else:
-                descend(i - 1, budget - used)
+            y = d * m + N
+            w_next, rem = divmod(r2 - y * y, d)
+            if rem:
+                raise InternalCheckError(f"inexact Fincke-Pohst budget at level {i}")
+            if i:
+                descend(i - 1, w_next)
+            elif w_next == 0:
+                cand = tuple(x)
+                if _passes_filters(P, cand):
+                    found.add(_class_representative(P, cand))
         x[i] = 0
 
-    descend(n - 1, Fraction(target))
+    descend(n - 1, D[n] * budget)
     return tuple(sorted(found))
-
-
-def _floor_sqrt_fraction(x: Fraction) -> int:
-    assert x >= 0
-    return isqrt(x.numerator * x.denominator) // x.denominator
 
 
 def enumerate_C_e_bruteforce(P: CeProblem) -> tuple[tuple[int, ...], ...]:
@@ -327,21 +301,21 @@ def enumerate_C_e_bruteforce(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     Exponential in the rank; for cross-checking small instances only.
     """
     n = P.form.rank
-    target = -P.form.apply(P.e, P.e)
+    norm = _pair(P.form.rows, P.e, P.e)  # -scale * target
     if n == 0:
         return ((),)
-    m = [[-x for x in row] for row in P.form.scaled_int_rows()]
+    m = [[-x for x in row] for row in P.form.rows]
     det = det_int(m)  # positive: CeProblem checked definiteness
     bounds = []
     for i in range(n):
         minor = [row[:i] + row[i + 1 :] for k, row in enumerate(m) if k != i]
-        bounds.append(_floor_sqrt_fraction(target * Fraction(P.form.scale * det_int(minor), det)))
+        bounds.append(isqrt(-norm * det_int(minor) // det))
     found: set[tuple[int, ...]] = set()
 
     def scan(i: int, partial: list[int]) -> None:
         if i == n:
             cand = tuple(partial)
-            if P.form.apply(cand, cand) == -target and _passes_filters(P, cand):
+            if _pair(P.form.rows, cand, cand) == norm and _passes_filters(P, cand):
                 found.add(_class_representative(P, cand))
             return
         for v in range(-bounds[i], bounds[i] + 1):
@@ -366,13 +340,8 @@ def detect_orthogonal_split(G: GramForm, e) -> bool:
         raise BadParameters("class length does not match form rank")
     if all(x == 0 for x in e):
         return True
-    v = []
-    for i in range(G.rank):
-        val = Fraction(G.scale * sum(G.gram[i][j] * e[j] for j in range(G.rank)))
-        assert val.denominator == 1
-        v.append(int(val))
-    basis = kernel_basis_int(v)
-    mat = [list(e)] + basis
+    v = [sum(g * ej for g, ej in zip(row, e)) for row in G.rows]
+    mat = [list(e)] + kernel_basis_int(v)
     return abs(det_int(mat)) == 1
 
 
@@ -447,7 +416,8 @@ def _crt3(*residues: tuple[int, int]) -> int:
     x, m = 0, 1
     for r, n in residues:
         g, u, _ = xgcd(m, n)
-        assert g == 1
+        if g != 1:
+            raise InternalCheckError(f"CRT moduli {m} and {n} are not coprime")
         x = (x + (r - x) * u % n * m) % (m * n)
         m *= n
     return x

@@ -2,8 +2,9 @@
 
 Every exact determinant in the package comes from the one fraction-free
 elimination here: leading minors for definiteness, determinants of
-integer lattices, the diagonal of an inverse form (as ratios of minors)
-and, by Kronecker substitution, the Alexander polynomial.
+integer lattices, the diagonal of an inverse form (as ratios of minors),
+the integer rows that drive the C(e) enumeration and, by Kronecker
+substitution, the Alexander polynomial.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ from typing import Sequence
 
 from .exactnum import xgcd
 
-__all__ = ["det_int", "bareiss_leading_minors", "kernel_basis_int"]
+__all__ = ["bareiss_leading_minors", "bareiss_rows", "det_int", "kernel_basis_int"]
 
 
-def _bareiss(rows: Sequence[Sequence[int]], swap_rows: bool) -> list[int]:
+def _bareiss(rows: Sequence[Sequence[int]], swap_rows: bool) -> tuple[list[int], list[list[int]]]:
     # Fraction-free (Bareiss) elimination, Math. Comp. 22 (1968): after step
     # k the pivot is the (k+1)-th leading principal minor of the row-swapped
     # matrix, and every division by the previous pivot is exact.  Returns
-    # those minors, signed by the row swaps made so far; after a zero pivot
-    # (no nonzero entry to swap up) the rest is padded with zeros.
+    # those minors, signed by the row swaps made so far, and the eliminated
+    # matrix, whose row k is final from column k on; after a zero pivot (no
+    # nonzero entry to swap up) the minors are padded with zeros.
     m = [list(map(int, row)) for row in rows]
     r = len(m)
     assert all(len(row) == r for row in m)
@@ -35,12 +37,12 @@ def _bareiss(rows: Sequence[Sequence[int]], swap_rows: bool) -> list[int]:
         pivot = m[k][k]
         minors.append(sign * pivot)
         if pivot == 0:
-            return minors + [0] * (r - k - 1)
+            return minors + [0] * (r - k - 1), m
         for i in range(k + 1, r):
             for j in range(k + 1, r):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
-    return minors
+    return minors, m
 
 
 def bareiss_leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -50,12 +52,19 @@ def bareiss_leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     leading minor reported as 0 may be inaccurate, but a zero pivot already
     rules out definiteness, which is all callers use this for).
     """
-    return _bareiss(rows, swap_rows=False)
+    return _bareiss(rows, swap_rows=False)[0]
+
+
+def bareiss_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows of the swap-free elimination of a square integer matrix with
+    nonzero leading minors D_i (D_0 = 1): from column i on, row i holds
+    b_ij = D_i u_ij for the Gaussian upper factor u, so b_ii = D_(i+1)."""
+    return _bareiss(rows, swap_rows=False)[1]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss with row swaps)."""
-    return _bareiss(rows, swap_rows=True)[-1] if rows else 1
+    return _bareiss(rows, swap_rows=True)[0][-1] if rows else 1
 
 
 def kernel_basis_int(vec: Sequence[int]) -> list[list[int]]:

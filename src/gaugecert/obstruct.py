@@ -579,6 +579,9 @@ def _strand_json(s: Strand) -> dict:
 
 def _strand_from_json(data: dict) -> Strand:
     matrix = SeifertMatrix(data["seifert_matrix"]) if "seifert_matrix" in data else None
+    for key in ("knot", "provenance"):
+        if not isinstance(data.get(key, ""), str):
+            raise TypeError(f"{key!r} must be a string, not {type(data[key]).__name__}")
     return Strand(
         a=operator.index(data["a"]),
         b=operator.index(data["b"]),
@@ -621,13 +624,22 @@ def _rational(x):
     return operator.index(x)
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, (list, dict)):
+        return any(map(_has_bool, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, bool)
+
+
 def _field(data: dict, name: str, parse):
     # parse(data[name]); a top level that is not an object, or a missing or
-    # malformed field, raises BadParameters naming it
+    # malformed field, raises BadParameters naming it.  No input has a
+    # boolean field, and operator.index would read true/false as 1/0.
     if not isinstance(data, dict):
         raise BadParameters(f"the input must be a JSON object, not {type(data).__name__}")
     if name not in data:
         raise BadParameters(f"field {name!r} is missing")
+    if _has_bool(data[name]):
+        raise BadParameters(f"field {name!r} is malformed: it holds a JSON boolean")
     try:
         return parse(data[name])
     except (TypeError, ValueError, AttributeError, KeyError, ZeroDivisionError) as exc:

@@ -140,6 +140,14 @@ MALFORMED_FILES = [
     ("c-e", {"form": FORM, "e": 5}, "'e'"),
     ("c-e", {"form": FORM, "e": [1.7]}, "'e'"),
     ("c-e", {"form": {**FORM, "scale": 1.5}, "e": [1]}, "'form'"),
+    # JSON booleans are not integers, though operator.index takes them
+    ("check-fs", {"kind": "seifert", "pairs": [[2, True], [3, 1], [5, -4]]}, "'pairs'"),
+    ("c-e", {"form": {"rank": 1, "gram": [[False]]}, "e": [1]}, "'form'"),
+    # knot names and provenance notes are strings
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {**FIGURE8, "knot": {"name": "figure8"}}, STRANDS[2]]}, "'knot'"),
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {**FIGURE8, "provenance": {"ref": 1}}, STRANDS[2]]}, "'provenance'"),
 ]
 
 
@@ -160,6 +168,8 @@ def test_exit_code_malformed():
     r = run("rho-transfer", "3", "1", "--seifert-matrix", "5")
     assert r.returncode == 2 and r.stdout == ""
     assert "Traceback" not in r.stderr and "'seifert_matrix'" in r.stderr
+    r = run("rho-transfer", "3", "1", "--seifert-matrix", "[[true, false], [true, true]]")
+    assert r.returncode == 2 and "'seifert_matrix'" in r.stderr
     r = run("tau-bound", "--denominator", "0")
     assert r.returncode == 2 and "denominator must be a positive integer" in r.stderr
 
@@ -192,6 +202,15 @@ def test_check_fs_knotted_optimized():
     )
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
+
+
+def test_c_e_optimized():
+    # the enumeration's checks raise instead of asserting, so -O changes nothing
+    golden = Path(__file__).resolve().parent / "golden"
+    r = subprocess.run([sys.executable, "-O", "-m", "gaugecert.cli", "c-e", str(golden / "ce_rank4.problem.json")],
+                       capture_output=True)
+    assert r.returncode == 0
+    assert r.stdout == (golden / "ce_rank4.report.json").read_bytes()
 
 
 def test_exit_code_internal_consistency(monkeypatch):

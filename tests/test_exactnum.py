@@ -249,6 +249,15 @@ def test_hj_roundtrip():
                 assert exp.continuants()[-1] == a
 
 
+def test_hj_expand_checks_continuants(monkeypatch):
+    # the cross-check raises rather than asserts, so python -O keeps it
+    from gaugecert.exactnum import HJExpansion
+
+    monkeypatch.setattr(HJExpansion, "continuants", lambda self: (2, 8))
+    with pytest.raises(InternalCheckError, match="7/2"):
+        hj_expand(7, 2)
+
+
 def test_hj_errors():
     with pytest.raises(BadParameters):
         hj_expand(6, 3)

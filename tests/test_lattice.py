@@ -44,7 +44,7 @@ def test_gram_validation():
     with pytest.raises(BadParameters):
         GramForm(1, ((Fraction(1, 3),),), scale=2)
     G = GramForm(1, ((Fraction(-1, 3),),), scale=3)
-    assert G.scaled_int_rows() == [[-1]]
+    assert G.rows == ((-1,),)
     with pytest.raises(TypeError):
         GramForm(1, ((-1,),), scale=1.5)
     with pytest.raises(TypeError):
@@ -98,6 +98,16 @@ def _random_negdef(rng, max_rank=4):
             return G
 
 
+def _assert_matches_bruteforce(rng, G, e):
+    restrictions = ()
+    if rng.random() < 0.4:
+        restrictions = (
+            Restriction(rng.randint(2, 6), tuple(rng.randint(-2, 2) for _ in range(G.rank))),
+        )
+    P = CeProblem(G, e, restrictions)
+    assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P)
+
+
 def test_enumeration_matches_bruteforce_randomized():
     rng = random.Random(97)
     for _ in range(60):
@@ -105,13 +115,35 @@ def test_enumeration_matches_bruteforce_randomized():
         e = tuple(rng.randint(-2, 2) for _ in range(G.rank))
         if -G.apply(e, e) > 20:
             continue
-        restrictions = ()
-        if rng.random() < 0.4:
-            restrictions = (
-                Restriction(rng.randint(2, 6), tuple(rng.randint(-2, 2) for _ in range(G.rank))),
-            )
-        P = CeProblem(G, e, restrictions)
-        assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P)
+        _assert_matches_bruteforce(rng, G, e)
+
+
+@pytest.mark.parametrize("scale", [2, 3, 6])
+def test_enumeration_matches_bruteforce_scaled(scale):
+    # -(L^T L) / scale: entries in (1/scale) Z, so the budget divisions run
+    # against leading minors of scale * gram
+    rng = random.Random(300 + scale)
+    fractional = 0
+    for _ in range(60):
+        M = _random_negdef(rng).rows
+        G = GramForm(len(M), tuple(tuple(Fraction(v, scale) for v in row) for row in M), scale)
+        fractional += any(x.denominator > 1 for row in G.gram for x in row)
+        e = tuple(rng.randint(-2, 2) for _ in range(G.rank))
+        if -scale * G.apply(e, e) > 20:
+            continue
+        _assert_matches_bruteforce(rng, G, e)
+    assert fractional > 40
+
+
+@pytest.mark.parametrize("d, a", [(1, 6), (7, 3), (5, 30), (31, 2), (1, 1)])
+def test_rank1_scaled_form(d, a):
+    # the form (-d/a) at scale a that the surgery-configuration checker enumerates
+    G = GramForm(1, ((Fraction(-d, a),),), scale=a)
+    assert is_negative_definite(G) and gram_determinant(G) == Fraction(-d, a)
+    assert detect_orthogonal_split(G, (1,))
+    for e in ((1,), (3,)):
+        P = CeProblem(G, e)
+        assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P) == (e,)
 
 
 def test_split_implies_singleton():

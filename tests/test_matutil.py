@@ -1,9 +1,9 @@
-"""The one fraction-free integer elimination (det_int, leading minors)
+"""The one fraction-free integer elimination (det_int, leading minors, rows)
 against the permutation expansion, on matrices whose pivots vanish."""
 
 import random
 
-from gaugecert.matutil import bareiss_leading_minors, det_int
+from gaugecert.matutil import bareiss_leading_minors, bareiss_rows, det_int
 from oracles import leibniz_det
 
 
@@ -57,4 +57,21 @@ def test_leading_minors_against_leibniz():
         zero_before_last += first_zero < n - 1
     assert zero_before_last >= 100
     assert bareiss_leading_minors([]) == []
+
+
+def test_bareiss_rows_against_leibniz():
+    # from column i on, row i is the minor on rows 0..i and columns 0..i-1, j
+    rng = random.Random(1985)
+    checked = 0
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if any(_det([row[:k] for row in m[:k]]) == 0 for k in range(1, n + 1)):
+            continue
+        b = bareiss_rows(m)
+        for i in range(n):
+            for j in range(i, n):
+                assert b[i][j] == _det([row[:i] + [row[j]] for row in m[: i + 1]]), m
+        checked += n > 2
+    assert checked >= 50
 
