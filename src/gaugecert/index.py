@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ClosedFormMismatch, Degenerate, NotHomologySphere
+from .errors import BadParameters, ClosedFormMismatch, Degenerate, NotHomologySphere
 from .exactnum import cot_cot_sin2_sum
 from .seifert import SeifertData, d_invariant
 
@@ -59,7 +59,8 @@ class BoundaryTerm:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", Fraction(self.rho))
-        assert self.h >= 0
+        if self.h < 0:
+            raise BadParameters("h = dim H^0 must be >= 0")
         if self.trivial and (self.h != 3 or self.rho != 0):
             raise ValueError("a trivial limit has h = 3 and rho = 0")
 

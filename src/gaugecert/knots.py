@@ -16,16 +16,16 @@ from a Seifert matrix V (square integer, V - V^T unimodular):
 The signature is computed in the ring Z[zeta_a] by division-free
 Hermitian elimination (Bareiss's fraction-free elimination, *Math. Comp.*
 22, 1968, without the exact division by the previous pivot): every entry
-stays an integer combination of powers of zeta, a diagonal pivot p scales
-the remaining block by the real number p and a 2x2 block
-[[0, u], [conj u, 0]] scales it by u conj u > 0, so the signature is
-tracked through the signs of the pivots alone.  The sign of each (exactly
-nonzero, real) pivot is certified at adaptive precision from outward-
-rounded bounds on cos and sin, computed in a private mpmath interval
-context, so no global mpmath state is read or changed.  If the form is
-singular -- equivalently, omega is a root of the Alexander polynomial --
-:class:`~gaugecert.errors.SingularPivot` is raised; that degenerate case
-must be handled by the caller, never silently signed.
+stays an integer combination of powers of zeta, and a diagonal pivot p
+scales the remaining block by the real number p (a zero diagonal is first
+made 2 u conj u > 0 by a congruence with an off-diagonal entry u), so the
+signature is tracked through the signs of the pivots alone.  The sign
+of each (exactly nonzero, real) pivot is certified at adaptive precision
+from outward-rounded bounds on cos and sin, computed in a private mpmath
+interval context, so no global mpmath state is read or changed.  If the
+form is singular -- equivalently, omega is a root of the Alexander
+polynomial -- :class:`~gaugecert.errors.SingularPivot` is raised; that
+degenerate case must be handled by the caller, never silently signed.
 
 No knot diagrams are processed here; Seifert matrices are given directly
 (as JSON integer arrays in problem files) or looked up in the small
@@ -75,7 +75,8 @@ class LaurentPoly:
 
     def __post_init__(self) -> None:
         clean = tuple(sorted((int(e), int(c)) for e, c in self.terms if c != 0))
-        assert len({e for e, _ in clean}) == len(clean), "repeated exponents"
+        if len({e for e, _ in clean}) != len(clean):
+            raise BadParameters("repeated exponents")
         object.__setattr__(self, "terms", clean)
 
     def as_dict(self) -> dict[int, int]:
@@ -89,7 +90,8 @@ class LaurentPoly:
         if not self.terms:
             return self
         lo, hi = self.terms[0][0], self.terms[-1][0]
-        assert (lo + hi) % 2 == 0, "cannot symmetrize odd-span polynomial"
+        if (lo + hi) % 2:
+            raise BadParameters("cannot symmetrize odd-span polynomial")
         return self.shift(-(lo + hi) // 2)
 
     def __str__(self) -> str:
@@ -137,8 +139,20 @@ def alexander_from_seifert(V: "SeifertMatrix") -> LaurentPoly:
     return poly.symmetrized()
 
 
+#: Largest cyclotomic order a of a knotted strand: its tables grow as a^2,
+#: and rho-transfer at a = 997 on the trefoil took 0.5 s and 28 MB.
+MAX_KNOT_ORDER = 1000
+
+
+def _check_order(a: int) -> None:
+    if a > MAX_KNOT_ORDER:
+        raise BadParameters(f"cyclotomic order {a} of a knotted strand exceeds the limit {MAX_KNOT_ORDER}")
+
+
 def evaluate_at_root(poly: LaurentPoly, a: int, b: int) -> CycloElement:
-    """Exact value of the polynomial at zeta_a^b, as an element of Z[zeta_a]."""
+    """Exact value of the polynomial at zeta_a^b, as an element of Z[zeta_a];
+    a is at most :data:`MAX_KNOT_ORDER`."""
+    _check_order(a)
     out = CycloElement.zero(a)
     for e, c in poly.terms:
         out = out + CycloElement.zeta(a, b * e).scale(c)
@@ -248,6 +262,17 @@ def _certified_sign(x: CycloElement) -> int:
     )
 
 
+def _congruence_step(h: list[list[CycloElement]], i0: int, j0: int) -> list[list[CycloElement]]:
+    # P h P^* for P = I + u E_(i0 j0), u = h_(i0 j0), h_(i0 i0) = h_(j0 j0) = 0
+    u = h[i0][j0]
+    uc = u.conjugate()
+    h = [list(row) for row in h]
+    h[i0] = [x + u * y for x, y in zip(h[i0], h[j0])]
+    for row in h:
+        row[i0] = row[i0] + uc * row[j0]
+    return h
+
+
 def _hermitian_signature(h: list[list[CycloElement]]) -> int:
     """Signature of an exact Hermitian matrix over Z[zeta_a], without division.
 
@@ -255,39 +280,28 @@ def _hermitian_signature(h: list[list[CycloElement]]) -> int:
     p h_ij - h_ip h_pj, Hermitian with integer coefficients; its signature
     is sign(p) times that of the complement, so sig = s + s * sig(rest)
     with s = sign(p).  If every diagonal entry is exactly zero but some
-    off-diagonal entry u = h_(i0 j0) is not, the 2x2 block
-    [[0, u], [conj u, 0]] has signature 0 and is eliminated as a block;
-    the complement is scaled by N = u conj u, which is positive, giving
-    N h_ij - (h_(i i0) u h_(j0 j) + h_(i j0) conj(u) h_(i0 j)).  A
-    remaining block that is identically zero means the form is singular.
+    off-diagonal entry u = h_(i0 j0) is not, the congruence
+    e_(i0) -> e_(i0) + conj(u) e_(j0) (row i0 += u row j0, then column
+    i0 += conj(u) column j0) keeps the signature and makes
+    h_(i0 i0) = 2 u conj(u) > 0, a diagonal pivot.  A remaining block that
+    is identically zero means the form is singular.
     """
     sig, sign = 0, 1  # sig(h) = sig + sign * sig(current block)
     while h:
         n = len(h)
         piv = next((i for i in range(n) if not h[i][i].is_zero()), None)
-        if piv is not None:
-            p = h[piv][piv]
-            s = _certified_sign(p)
-            sig += sign * s
-            sign *= s
-            rest = [i for i in range(n) if i != piv]
-            h = [[p * h[i][j] - h[i][piv] * h[piv][j] for j in rest] for i in rest]
-            continue
-        pair = next(
-            ((i, j) for i in range(n) for j in range(i + 1, n) if not h[i][j].is_zero()),
-            None,
-        )
-        if pair is None:
-            raise SingularPivot("Hermitian form is singular (zero block)")
-        i0, j0 = pair
-        u = h[i0][j0]
-        uc = u.conjugate()
-        norm = u * uc
-        rest = [i for i in range(n) if i not in (i0, j0)]
-        h = [
-            [norm * h[i][j] - (h[i][i0] * u * h[j0][j] + h[i][j0] * uc * h[i0][j]) for j in rest]
-            for i in rest
-        ]
+        if piv is None:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not h[i][j].is_zero()]
+            if not pairs:
+                raise SingularPivot("Hermitian form is singular (zero block)")
+            piv, j0 = pairs[0]
+            h = _congruence_step(h, piv, j0)
+        p = h[piv][piv]
+        s = _certified_sign(p)
+        sig += sign * s
+        sign *= s
+        rest = [i for i in range(n) if i != piv]
+        h = [[p * h[i][j] - h[i][piv] * h[piv][j] for j in rest] for i in rest]
     return sig
 
 
@@ -296,12 +310,14 @@ def lt_signature(V: SeifertMatrix, a: int, b: int) -> int:
     the signature of (1 - omega) V + (1 - conj omega) V^T.
 
     Deterministic and exact: pivots are exact elements of Z[zeta_a] and
-    their signs are certified by adaptive-precision intervals.  Raises
+    their signs are certified by adaptive-precision intervals.  Needs
+    2 <= a <= :data:`MAX_KNOT_ORDER`.  Raises
     :class:`SingularPivot` when the form is singular, i.e. when omega is a
     root of the Alexander polynomial.
     """
     if a < 2:
         raise BadParameters("need a >= 2")
+    _check_order(a)
     if b % a == 0:
         raise BadParameters("omega = 1 is excluded")
     n = V.size

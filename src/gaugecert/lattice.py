@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
 from .errors import BadParameters, HypothesisFailed, InternalCheckError, NotDefinite
-from .exactnum import HJExpansion, xgcd
+from .exactnum import HJExpansion, continuants, xgcd
 from .matutil import bareiss_leading_minors, bareiss_rows, det_int, kernel_basis_int
 
 __all__ = [
@@ -117,15 +117,8 @@ def _is_tridiagonal(g) -> bool:
     )
 
 
-def _tridiag_leading_minors(rows) -> list:
-    # D_k = g_kk D_(k-1) - g_(k,k-1)^2 D_(k-2)
-    out = []
-    prev2, prev1 = 0, 1
-    for k, row in enumerate(rows):
-        cur = row[k] * prev1 - (row[k - 1] ** 2 * prev2 if k else 0)
-        out.append(cur)
-        prev2, prev1 = prev1, cur
-    return out
+def _tridiag_leading_minors(rows) -> list[int]:
+    return continuants([row[k] for k, row in enumerate(rows)], [rows[k][k - 1] for k in range(1, len(rows))])
 
 
 def is_negative_definite(G: GramForm) -> bool:
@@ -252,8 +245,9 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     x.Ax = sum_i y_i^2 / (D_i D_(i+1)), y_i = D_(i+1) x_i + sum_(j>i) b_ij x_j.
     Level i admits the x_i with y_i^2 <= D_i W_i (one isqrt), W_i being the
     budget left times D_(i+1), and passes down the exact quotient
-    W_(i-1) = (D_i W_i - y_i^2) / D_(i+1); a leaf needs W = 0, and then the
-    mod-2 and restriction filters.
+    W_(i-1) = (D_i W_i - y_i^2) / D_(i+1); the leaf needs y_0^2 = W_0, so
+    only y_0 = +-isqrt(W_0) is tried, and then the mod-2 and restriction
+    filters.
     """
     n = P.form.rank
     budget = -_pair(P.form.rows, P.e, P.e)  # scale * target
@@ -273,18 +267,22 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
         N = sum(b[i][j] * x[j] for j in range(i + 1, n))
         r2 = D[i] * w
         s = isqrt(r2)
+        if i == 0:
+            # the leaf needs y_0^2 = W_0, so y_0 = +-s when s^2 = W_0
+            for y in {s, -s} if s * s == r2 else ():
+                m, rem = divmod(y - N, d)
+                if not rem:
+                    cand = (m, *x[1:])
+                    if _passes_filters(P, cand):
+                        found.add(_class_representative(P, cand))
+            return
         for m in range(-((s + N) // d), (s - N) // d + 1):
             x[i] = m
             y = d * m + N
             w_next, rem = divmod(r2 - y * y, d)
             if rem:
                 raise InternalCheckError(f"inexact Fincke-Pohst budget at level {i}")
-            if i:
-                descend(i - 1, w_next)
-            elif w_next == 0:
-                cand = tuple(x)
-                if _passes_filters(P, cand):
-                    found.add(_class_representative(P, cand))
+            descend(i - 1, w_next)
         x[i] = 0
 
     descend(n - 1, D[n] * budget)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import BadParameters
 from .exactnum import xgcd
 
 __all__ = ["bareiss_leading_minors", "bareiss_rows", "det_int", "kernel_basis_int"]
@@ -25,7 +26,8 @@ def _bareiss(rows: Sequence[Sequence[int]], swap_rows: bool) -> tuple[list[int],
     # nonzero entry to swap up) the minors are padded with zeros.
     m = [list(map(int, row)) for row in rows]
     r = len(m)
-    assert all(len(row) == r for row in m)
+    if any(len(row) != r for row in m):
+        raise BadParameters("matrix must be square")
     minors: list[int] = []
     sign = prev = 1
     for k in range(r):
@@ -76,7 +78,8 @@ def kernel_basis_int(vec: Sequence[int]) -> list[list[int]]:
     """
     v = [int(x) for x in vec]
     r = len(v)
-    assert any(v), "kernel of the zero vector is the whole lattice"
+    if not any(v):
+        raise BadParameters("kernel of the zero vector is the whole lattice")
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     for i in range(1, r):
         if v[i] == 0:

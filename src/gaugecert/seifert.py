@@ -90,11 +90,9 @@ def meridian_holonomy(a: int, b: int) -> int:
     """Holonomy exponent of the meridian under the linking form: the flat
     SO(2) connection determined by the surgery strand sends the meridian to
     exp(2 pi i l / a) with l = -b mod a, normalized into [1, a-1]."""
-    if gcd(a, b) != 1:
-        raise BadParameters(f"gcd({a}, {b}) != 1")
-    l = (-b) % a
-    assert 0 < l < a or a == 1
-    return l
+    if a < 1 or gcd(a, b) != 1:
+        raise BadParameters(f"need a >= 1 and gcd(a, b) = 1, got ({a}, {b})")
+    return (-b) % a
 
 
 def _min_abs_solution(p: int, q: int) -> tuple[int, int]:

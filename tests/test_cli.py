@@ -174,6 +174,35 @@ def test_exit_code_malformed():
     assert r.returncode == 2 and "denominator must be a positive integer" in r.stderr
 
 
+def test_plumbing_chain_cap():
+    # the dense m x m plumbing is refused above MAX_CHAIN_LENGTH terms, before it is built
+    from gaugecert.exactnum import MAX_CHAIN_LENGTH, hj_expand
+
+    assert MAX_CHAIN_LENGTH == 1000
+    assert len(hj_expand(1001, 1000).terms) == 1000
+    for a in ("1002", "1000000000000"):
+        r = run("plumbing", a, str(int(a) - 1))
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr and "more than 1000 terms" in r.stderr
+
+
+def test_knot_order_cap(tmp_path):
+    # knotted strands are refused above MAX_KNOT_ORDER, before any cyclotomic table is built
+    from gaugecert import KNOT_CATALOG, lt_signature
+    from gaugecert.knots import MAX_KNOT_ORDER
+
+    assert MAX_KNOT_ORDER == 1000
+    assert lt_signature(KNOT_CATALOG["trefoil"], 997, 1) == 0
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": "surgery-config", "strands": [
+        {"a": 2, "b": 1}, {"a": 3, "b": 2}, {"a": 1009, "b": -1177, "knot": "trefoil"}]}), encoding="utf-8")
+    for argv in (("rho-transfer", "1001", "1", "--knot", "trefoil"), ("check-fs", "--problem", str(path))):
+        r = run(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr and "exceeds the limit 1000" in r.stderr
+    assert run("rho-transfer", "1001", "1").returncode == 0  # an unknotted strand builds no table
+
+
 def test_exit_code_degenerate_transfer():
     assert run("rho-transfer", "6", "1", "--knot", "trefoil").returncode == 2
 

@@ -2,6 +2,8 @@
 Hirzebruch-Jung expansions, and the floating oracle."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -18,7 +20,7 @@ from gaugecert import (
     cyclotomic_poly,
     hj_expand,
 )
-from gaugecert.exactnum import _sawtooth_convolution, euler_phi
+from gaugecert.exactnum import _sawtooth_convolution, continuants, euler_phi
 
 from oracles import (
     ORACLE_PREC_ENV,
@@ -76,6 +78,55 @@ def test_field_axioms_randomized():
             assert (x * y) * z == x * (y * z)
             if not x.is_zero():
                 assert x * x.inverse() == one
+
+
+def test_inverse_by_the_norm():
+    # 1/x = (product of the other Galois images) / N(x), up to a = 61
+    rng = random.Random(61)
+    for a in (2, 3, 7, 12, 15, 30, 61):
+        one = CycloElement.from_rational(a, 1)
+        for _ in range(3):
+            x = CycloElement(a, tuple(rng.randint(-3, 3) for _ in range(euler_phi(a))))
+            if not x.is_zero():
+                assert x * x.inverse() == one
+    with pytest.raises(ZeroDivisionError):
+        CycloElement.zero(7).inverse()
+
+
+def _run_optimized(code: str) -> str:
+    # python -O strips asserts, so what such a run prints holds without them
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_inverse_checks_the_norm_under_O():
+    # a norm that is not rational is an internal failure, also under -O
+    out = _run_optimized(
+        "from gaugecert import CycloElement, InternalCheckError\n"
+        "CycloElement._galois = lambda self, k: self  # every image is x: N = x^phi, not rational\n"
+        "try:\n"
+        "    CycloElement.zeta(7, 1).inverse()\n"
+        "except InternalCheckError:\n"
+        "    print('raised')\n"
+    )
+    assert out == "raised\n"
+
+
+def test_public_preconditions_hold_under_O():
+    # each call broke a documented precondition that an assert used to guard
+    out = _run_optimized(
+        "from gaugecert import BadParameters, CycloElement, LaurentPoly, cyclotomic_poly\n"
+        "from gaugecert.matutil import det_int\n"
+        "calls = (lambda: det_int([[1, 2, 3], [4, 5, 6]]), lambda: LaurentPoly(((1, 2), (1, 3))),\n"
+        "         lambda: CycloElement(5, (1, 2)), lambda: cyclotomic_poly(0))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('accepted', call())\n"
+        "    except BadParameters:\n"
+        "        print('refused')\n"
+    )
+    assert out == "refused\n" * 4
 
 
 def test_galois_and_conjugation():
@@ -239,21 +290,41 @@ def test_hj_examples():
     assert hj_expand(11, 2).terms == (6, 2)
 
 
+def _hj_value(terms) -> Fraction:
+    # c_1 - 1/(c_2 - 1/(... - 1/c_m)), evaluated from the innermost term out
+    v = Fraction(terms[-1])
+    for c in reversed(terms[:-1]):
+        v = c - 1 / v
+    return v
+
+
 def test_hj_roundtrip():
     for a in range(2, 121):
         for b in range(1, a):
             if gcd(a, b) == 1:
                 exp = hj_expand(a, b)
                 assert all(c >= 2 for c in exp.terms)
-                assert exp.value() == Fraction(a, b)
-                assert exp.continuants()[-1] == a
+                assert _hj_value(exp.terms) == Fraction(a, b)
+                assert continuants(exp.terms[::-1], [1] * (len(exp.terms) - 1))[-1] == a
+
+
+def test_continuants_are_tridiagonal_minors():
+    # D_k = d_k D_(k-1) - t_k^2 D_(k-2), against the integer determinants
+    from gaugecert.matutil import det_int
+
+    rng = random.Random(11)
+    for m in range(1, 7):
+        diag = [rng.randint(-5, 5) for _ in range(m)]
+        off = [rng.randint(-3, 3) for _ in range(m - 1)]
+        rows = [[diag[i] if i == j else off[min(i, j)] if abs(i - j) == 1 else 0 for j in range(m)] for i in range(m)]
+        assert continuants(diag, off) == [det_int([row[:k] for row in rows[:k]]) for k in range(1, m + 1)]
 
 
 def test_hj_expand_checks_continuants(monkeypatch):
     # the cross-check raises rather than asserts, so python -O keeps it
-    from gaugecert.exactnum import HJExpansion
+    import gaugecert.exactnum as ex
 
-    monkeypatch.setattr(HJExpansion, "continuants", lambda self: (2, 8))
+    monkeypatch.setattr(ex, "continuants", lambda diag, off: [2, 8])
     with pytest.raises(InternalCheckError, match="7/2"):
         hj_expand(7, 2)
 

@@ -215,7 +215,7 @@ def _negative_first_pivot(rng):
 @pytest.mark.parametrize(
     "case, count, make, a_max",
     [
-        # all h_ii = V_ii |1 - omega|^2 vanish: the 2x2 block branch at the top
+        # all h_ii = V_ii |1 - omega|^2 vanish: the congruence step at the top
         ("zero diagonal", 150, lambda rng: _random_seifert_matrix(rng, rng.randint(2, 3), True), 30),
         ("negative first pivot", 40, _negative_first_pivot, 30),
         ("genus 4", 15, lambda rng: _random_seifert_matrix(rng, 4), 61),
@@ -224,15 +224,20 @@ def _negative_first_pivot(rng):
 )
 def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, count, make, a_max):
     # each elimination branch, checked against mpmath eigenvalues; the
-    # pivot signs are recorded to show which branch ran
-    signs = []
-    certify = knots._certified_sign
+    # pivot signs and the congruence steps are recorded to show which branch ran
+    signs, steps = [], []
+    certify, congruence = knots._certified_sign, knots._congruence_step
 
     def spy(x):
         signs.append(certify(x))
         return signs[-1]
 
+    def step_spy(h, i0, j0):
+        steps.append((i0, j0))
+        return congruence(h, i0, j0)
+
     monkeypatch.setattr(knots, "_certified_sign", spy)
+    monkeypatch.setattr(knots, "_congruence_step", step_spy)
     rng = random.Random(47)
     taken = compared = 0
     for _ in range(count):
@@ -242,10 +247,12 @@ def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, coun
         if expected is None:
             continue
         signs.clear()
+        steps.clear()
         assert lt_signature(V, a, b) == expected, (case, V.rows, a, b)
         compared += 1
+        assert len(signs) == V.size  # one pivot kind: every row is eliminated with a sign
         if case == "zero diagonal":
-            taken += len(signs) < V.size  # a 2x2 block takes two rows without a sign
+            taken += bool(steps)
         elif case == "negative first pivot":
             taken += signs[0] == -1
         else:
