@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_c_e)
 
     p = sub.add_parser("check-fs", help="definite-bounding obstruction report")
-    p.add_argument("pairs", type=_pair, nargs="*", metavar="a,b")
+    p.add_argument("pairs", type=_pair, nargs="*", default=(), metavar="a,b")
     p.add_argument("--problem", metavar="FILE", help="JSON problem file (seifert / surgery-config)")
     p.set_defaults(handler=_cmd_check_fs)
 
@@ -309,6 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # CPython 3.11 argparse hands a positional whose only token is "--" over
+    # as [] without applying its type; no argument has [] as a value otherwise
+    missing = [name for name, value in vars(args).items() if value == []]
+    if missing:
+        parser.error(f"argument {missing[0]}: expected a value, got '--'")
     try:
         payload, text = args.handler(args)
     except InternalCheckError as exc:

@@ -21,8 +21,9 @@ scales the remaining block by the real number p (a zero diagonal is first
 made 2 u conj u > 0 by a congruence with an off-diagonal entry u), so the
 signature is tracked through the signs of the pivots alone.  The sign
 of each (exactly nonzero, real) pivot is certified at adaptive precision
-from outward-rounded bounds on cos and sin, computed in a private mpmath
-interval context, so no global mpmath state is read or changed.  If the
+from integer bounds on cos and sin (Machin's pi and the exponential
+series, with a proved error below 2 units), so no floating point
+and no third-party code is involved.  If the
 form is singular -- equivalently, omega is a root of the Alexander
 polynomial -- :class:`~gaugecert.errors.SingularPivot` is raised; that
 degenerate case must be handled by the caller, never silently signed.
@@ -38,9 +39,6 @@ import functools
 import operator
 from dataclasses import dataclass
 from math import gcd
-
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import mpf_shift, to_int
 
 from .errors import BadParameters, InternalCheckError, SingularPivot
 from .exactnum import CycloElement, _poly_div_exact, euler_phi
@@ -207,55 +205,62 @@ _MAX_SIGN_PREC = 1 << 14
 
 
 @functools.lru_cache(maxsize=256)
-def _unit_circle_table(a: int, prec: int) -> tuple[tuple[int, int, int, int], ...]:
-    # (cos lo, cos hi, sin lo, sin hi) at 2 pi i/a for i < phi(a), in units
-    # of 2^-prec: the endpoints of intervals computed in a private interval
-    # context at precision prec (the global mpmath.iv is never touched),
-    # rounded outward to integers
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    two_pi = 2 * ctx.pi
+def _unit_circle_table(a: int, prec: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (u_i, v_i), i < phi(a), each within 2 of 2^prec (cos, sin)(2 pi i/a).
+
+    Integers only, at w = prec + 32 bits: pi = 16 atan(1/5) - 4 atan(1/239)
+    (Machin) by the alternating series, then exp(i t) by its series at
+    t = 2 pi min(i, a - i)/a in [0, pi] (sin flips sign when 2i > a).  In
+    units of 2^-w, each floor and each truncated tail is off by less than 1,
+    so pi is off by less than 4w + 40 and t by less than 4w + 41; exp sums
+    fewer than w terms, and an error in t or in one term moves the sum by at
+    most e^pi < 2^5 times as much: in all below 2^5 (5w + 42) < 2^31 while
+    prec <= _MAX_SIGN_PREC.  The shift down by 32 bits leaves less than 3/2.
+    """
+    w = prec + 32
+
+    def atan_inv(x: int) -> int:  # 2^w atan(1/x); each term is one exact floor
+        total, power, k = 0, (1 << w) // x, 0
+        while power:
+            total, power, k = total + (-1) ** k * (power // (2 * k + 1)), power // (x * x), k + 1
+        return total
+
+    pi = 16 * atan_inv(5) - 4 * atan_inv(239)
     table = []
     for i in range(euler_phi(a)):
-        row = ()
-        for x in (ctx.cos(two_pi * i / a), ctx.sin(two_pi * i / a)):
-            lo, hi = x._mpi_  # endpoints as raw mpf tuples
-            row += (to_int(mpf_shift(lo, prec), "f"), to_int(mpf_shift(hi, prec), "c"))
-        table.append(row)
+        t = 2 * pi * min(i, a - i) // a
+        parts, term, n = [0, 0], 1 << w, 0  # term = 2^w t^n/n!
+        while term:
+            parts[n % 2] += (-1) ** (n // 2) * term
+            n += 1
+            term = term * t // (n << w)
+        table.append((parts[0] >> 32, (parts[1] >> 32) * (-1 if 2 * i > a else 1)))
     return tuple(table)
 
 
 def _certified_sign(x: CycloElement) -> int:
     """Sign of an exactly-nonzero real element of Z[zeta_a].
 
-    Bounds sum c_i zeta^i in fixed point, from outward-rounded bounds of
-    cos and sin at 2 pi i/a, doubling the working precision until the
-    bounds on the real part exclude zero; terminates because the exact
-    value is nonzero.  The bounds on the imaginary part must enclose 0.
-    Each failed condition raises :class:`InternalCheckError`.
+    With the table at precision prec, sum c_i u_i and sum c_i v_i lie
+    within r = 2 sum |c_i| of 2^prec times the real and imaginary parts of
+    sum c_i zeta^i.  The precision doubles until |sum c_i u_i| > r, which
+    certifies the sign; this terminates because the exact value is
+    nonzero.  |sum c_i v_i| must stay below r.  Each failed condition
+    raises :class:`InternalCheckError`.
     """
     if x.is_zero():
         raise InternalCheckError("sign of an exactly zero pivot requested")
+    r = 2 * sum(map(abs, x.coeffs))
     prec = 64
     while prec <= _MAX_SIGN_PREC:
-        re_lo = re_hi = im_lo = im_hi = 0
-        for c, (cos_lo, cos_hi, sin_lo, sin_hi) in zip(x.coeffs, _unit_circle_table(x.order, prec)):
-            if c > 0:
-                re_lo += c * cos_lo
-                re_hi += c * cos_hi
-                im_lo += c * sin_lo
-                im_hi += c * sin_hi
-            elif c < 0:
-                re_lo += c * cos_hi
-                re_hi += c * cos_lo
-                im_lo += c * sin_hi
-                im_hi += c * sin_lo
-        if not im_lo <= 0 <= im_hi:
+        re = im = 0
+        for c, (u, v) in zip(x.coeffs, _unit_circle_table(x.order, prec)):
+            re += c * u
+            im += c * v
+        if abs(im) >= r:
             raise InternalCheckError("pivot is not real")
-        if re_lo > 0:
-            return 1
-        if re_hi < 0:
-            return -1
+        if abs(re) > r:
+            return 1 if re > 0 else -1
         prec *= 2
     raise InternalCheckError(
         f"sign of a nonzero pivot not separable at {_MAX_SIGN_PREC} bits of precision"
@@ -310,7 +315,7 @@ def lt_signature(V: SeifertMatrix, a: int, b: int) -> int:
     the signature of (1 - omega) V + (1 - conj omega) V^T.
 
     Deterministic and exact: pivots are exact elements of Z[zeta_a] and
-    their signs are certified by adaptive-precision intervals.  Needs
+    their signs are certified by adaptive-precision integer bounds.  Needs
     2 <= a <= :data:`MAX_KNOT_ORDER`.  Raises
     :class:`SingularPivot` when the form is singular, i.e. when omega is a
     root of the Alexander polynomial.

@@ -234,6 +234,12 @@ def _class_representative(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical_sign(x)
 
 
+#: Most Fincke-Pohst nodes (calls of the recursion) one C(e) enumeration
+#: may visit: the rank-4 identity form at e = (100, 0, 0, 0) needs 4.2
+#: million, and 113 million (213 s) at e = (300, 0, 0, 0).
+MAX_CE_NODES = 10**6
+
+
 def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     """Complete enumeration of C(e), one representative per sign class,
     sorted.  Representatives are sign-canonical (first nonzero coordinate
@@ -247,7 +253,8 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     budget left times D_(i+1), and passes down the exact quotient
     W_(i-1) = (D_i W_i - y_i^2) / D_(i+1); the leaf needs y_0^2 = W_0, so
     only y_0 = +-isqrt(W_0) is tried, and then the mod-2 and restriction
-    filters.
+    filters.  More than :data:`MAX_CE_NODES` nodes raise
+    :class:`BadParameters`.
     """
     n = P.form.rank
     budget = -_pair(P.form.rows, P.e, P.e)  # scale * target
@@ -261,8 +268,13 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
         raise NotDefinite("form is not negative definite")
     found: set[tuple[int, ...]] = set()
     x = [0] * n
+    nodes = 0
 
     def descend(i: int, w: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_CE_NODES:
+            raise BadParameters(f"C(e) enumeration exceeds the limit of {MAX_CE_NODES} Fincke-Pohst nodes")
         d = D[i + 1]
         N = sum(b[i][j] * x[j] for j in range(i + 1, n))
         r2 = D[i] * w

@@ -2,13 +2,16 @@
 problem files, well-formed and malformed."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_golden import GOLDEN, REPORTS
 
 BASE = [sys.executable, "-m", "gaugecert.cli"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*args, **kw):
@@ -172,6 +175,12 @@ def test_exit_code_malformed():
     assert r.returncode == 2 and "'seifert_matrix'" in r.stderr
     r = run("tau-bound", "--denominator", "0")
     assert r.returncode == 2 and "denominator must be a positive integer" in r.stderr
+    # a positional whose only token is "--" is refused, not handed over unconverted
+    for argv in (("nz-check", "2", "--", "--"), ("rho-transfer", "2", "--", "--"), ("rho-lens", "3", "1", "--", "--"),
+                 ("plumbing", "3", "--", "--"), ("check-family", "3", "5", "7", "--", "--")):
+        r = run(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr and "got '--'" in r.stderr
 
 
 def test_plumbing_chain_cap():
@@ -203,6 +212,20 @@ def test_knot_order_cap(tmp_path):
     assert run("rho-transfer", "1001", "1").returncode == 0  # an unknotted strand builds no table
 
 
+def test_c_e_node_cap(tmp_path):
+    # the enumeration is refused once it visits more than MAX_CE_NODES nodes;
+    # the rank-4 identity form at e = (100, 0, 0, 0) needs about 4.2 million
+    from gaugecert.lattice import MAX_CE_NODES
+
+    assert MAX_CE_NODES == 10**6
+    gram = [[-int(i == j) for j in range(4)] for i in range(4)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"form": {"rank": 4, "gram": gram}, "e": [100, 0, 0, 0]}), encoding="utf-8")
+    r = run("c-e", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "limit of 1000000 Fincke-Pohst nodes" in r.stderr
+
+
 def test_exit_code_degenerate_transfer():
     assert run("rho-transfer", "6", "1", "--knot", "trefoil").returncode == 2
 
@@ -223,7 +246,7 @@ def test_selftest_optimized():
 
 def test_check_fs_knotted_optimized():
     # the signature checks raise instead of asserting, so -O changes nothing
-    problem = str(Path(__file__).resolve().parent / "golden" / "genus2_inconclusive.problem.json")
+    problem = str(GOLDEN / "genus2_inconclusive.problem.json")
     plain, optimized = (
         subprocess.run([sys.executable, *flags, "-m", "gaugecert.cli", "check-fs", "--problem", problem],
                        capture_output=True)
@@ -233,13 +256,32 @@ def test_check_fs_knotted_optimized():
     assert optimized.stdout == plain.stdout
 
 
-def test_c_e_optimized():
-    # the enumeration's checks raise instead of asserting, so -O changes nothing
-    golden = Path(__file__).resolve().parent / "golden"
-    r = subprocess.run([sys.executable, "-O", "-m", "gaugecert.cli", "c-e", str(golden / "ce_rank4.problem.json")],
-                       capture_output=True)
+@pytest.mark.parametrize("argv, golden", REPORTS)
+def test_c_e_optimized(argv, golden):
+    # every check raises instead of asserting, so -O prints every golden report byte for byte
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    r = subprocess.run([sys.executable, "-O", "-m", "gaugecert.cli", *argv], capture_output=True, cwd=GOLDEN, env=env)
     assert r.returncode == 0
-    assert r.stdout == (golden / "ce_rank4.report.json").read_bytes()
+    assert r.stdout == (GOLDEN / golden).read_bytes()
+
+
+STDLIB_ONLY = """
+import contextlib, io, sys
+before = set(sys.modules)  # what the interpreter's own startup loaded
+import gaugecert, gaugecert.cli
+from gaugecert import KNOT_CATALOG, lt_signature
+assert lt_signature(KNOT_CATALOG["trefoil"], 61, 20) == -2
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gaugecert.cli.main(["check-fs", "2,1", "3,1", "5,-4"]) == 0
+print(sorted({m.split(".")[0] for m in set(sys.modules) - before} - sys.stdlib_module_names - {"gaugecert"}))
+"""
+
+
+def test_library_loads_only_the_standard_library():
+    # the package has no runtime dependencies; mpmath and hypothesis serve the tests only
+    r = subprocess.run([sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_exit_code_internal_consistency(monkeypatch):

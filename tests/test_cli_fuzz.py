@@ -12,7 +12,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugecert import cli
@@ -96,6 +96,9 @@ def argvs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(argvs())
+# a positional whose only token is "--" (CPython 3.11 argparse passes it on as [])
+@example(case=(("nz-check", "2", "--", "--"), []))
+@example(case=(("rho-transfer", "2", "--", "--"), []))
 def test_cli_exits_cleanly_on_malformed_argv(tmp_path_factory, case):
     argv, contents = case
     paths = []

@@ -2,7 +2,9 @@
 in tests/golden/.  The three surgery-config JSON reports were recorded
 before the signature code was made division-free; the text reports, the
 Seifert, family, C(e), plumbing, rho-transfer and selftest outputs before
-every exact determinant was routed through one integer elimination.  Each
+every exact determinant was routed through one integer elimination; the
+README examples and the transfers at a = 61 and a = 31 before the cos/sin
+table of the pivot signs was built from integers alone.  Each
 output must stay byte identical; the call counts pin that each knotted
 strand's Alexander polynomial and signatures are computed once."""
 
@@ -17,6 +19,11 @@ import gaugecert.obstruct as obstruct
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = ("figure8_obstructed", "genus2_inconclusive", "trefoil_degenerate")
 GENUS2 = "[[-2,1,0,0],[0,-1,0,1],[0,0,-1,1],[0,1,0,-2]]"
+# its pivot signs at a = 31 need 256 bits, so they go through the precision doubling
+GENUS4 = (
+    "[[2,1,0,2,-2,1,-1,-2],[0,-1,-2,0,1,-1,1,2],[0,-2,-2,3,-1,-2,-1,1],[2,0,2,0,-1,1,-1,-2],"
+    "[-2,1,-1,-1,-1,3,2,1],[1,-1,-2,1,2,-1,-1,-2],[-1,1,-1,-1,2,-1,-2,0],[-2,2,1,-2,1,-2,-1,-1]]"
+)
 
 # (argv, golden file); paths in argv are relative to tests/golden/
 REPORTS = [
@@ -33,6 +40,17 @@ REPORTS = [
     pytest.param(["rho-transfer", "3", "1", "--seifert-matrix", GENUS2], "rho_transfer_genus2.report.json",
                  id="rho-transfer-genus2"),
     pytest.param(["selftest"], "selftest.report.json", id="selftest"),
+    # the README examples
+    pytest.param(["rho-lens", "3", "1", "1"], "rho_lens_3_1_1.report.json", id="rho-lens-3-1-1"),
+    pytest.param(["nz-check", "5", "2"], "nz_check_5_2.report.json", id="nz-check-5-2"),
+    pytest.param(["r-invariant", "2,1", "3,1", "11,-9"], "r_invariant_2_3_11.report.json", id="r-invariant-2-3-11"),
+    pytest.param(["ind-plus", "3,1", "5,-2", "83,6"], "ind_plus_3_5_83.report.json", id="ind-plus-3-5-83"),
+    pytest.param(["tau-bound", "--lens", "11", "9"], "tau_bound_lens_11_9.report.json", id="tau-bound-lens-11-9"),
+    # knotted transfers whose pivot signs read the cos/sin table beyond a = 3
+    pytest.param(["rho-transfer", "61", "20", "--knot", "trefoil"], "rho_transfer_61_20_trefoil.report.json",
+                 id="rho-transfer-61-20-trefoil"),
+    pytest.param(["rho-transfer", "31", "7", "--seifert-matrix", GENUS4], "rho_transfer_31_7_genus4.report.json",
+                 id="rho-transfer-31-7-genus4"),
 ]
 
 

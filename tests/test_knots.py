@@ -11,6 +11,7 @@ import pytest
 from oracles import leibniz_det
 
 import gaugecert.knots as knots
+from gaugecert.exactnum import euler_phi
 from gaugecert import (
     BadParameters,
     CycloElement,
@@ -259,6 +260,21 @@ def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, coun
             taken += V.size == 8
     assert compared >= count // 2
     assert taken >= 1
+
+
+def test_unit_circle_table_against_mpmath():
+    # the integer table keeps the bound its docstring proves: within 2 units of 2^prec (cos, sin)
+    ref = mpmath.MPContext()
+    cases = [(a, prec) for a in range(2, 101) for prec in (64, 256)]
+    cases += [(a, 1024) for a in (7, 61, 997)] + [(7, 4096)]
+    for a, prec in cases:
+        table = knots._unit_circle_table(a, prec)
+        assert len(table) == euler_phi(a)
+        ref.prec = prec + 64
+        for i, (u, v) in enumerate(table):
+            angle = 2 * ref.pi * i / a
+            assert abs(u - ref.ldexp(ref.cos(angle), prec)) < 2, (a, prec, i)
+            assert abs(v - ref.ldexp(ref.sin(angle), prec)) < 2, (a, prec, i)
 
 
 def test_certified_sign_checks(monkeypatch):
