@@ -288,8 +288,9 @@ def _hermitian_signature(h: list[list[CycloElement]]) -> int:
     off-diagonal entry u = h_(i0 j0) is not, the congruence
     e_(i0) -> e_(i0) + conj(u) e_(j0) (row i0 += u row j0, then column
     i0 += conj(u) column j0) keeps the signature and makes
-    h_(i0 i0) = 2 u conj(u) > 0, a diagonal pivot.  A remaining block that
-    is identically zero means the form is singular.
+    h_(i0 i0) = 2 u conj(u) > 0, a diagonal pivot whose sign needs no
+    certificate.  A remaining block that is identically zero means the form
+    is singular.
     """
     sig, sign = 0, 1  # sig(h) = sig + sign * sig(current block)
     while h:
@@ -301,8 +302,10 @@ def _hermitian_signature(h: list[list[CycloElement]]) -> int:
                 raise SingularPivot("Hermitian form is singular (zero block)")
             piv, j0 = pairs[0]
             h = _congruence_step(h, piv, j0)
+            s = 1  # the pivot 2 u conj(u), u != 0, is positive by construction
+        else:
+            s = _certified_sign(h[piv][piv])
         p = h[piv][piv]
-        s = _certified_sign(p)
         sig += sign * s
         sign *= s
         rest = [i for i in range(n) if i != piv]

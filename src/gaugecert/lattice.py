@@ -16,8 +16,12 @@ reducible instantons is
 
 :func:`enumerate_C_e` enumerates it completely by a Fincke-Pohst
 recursion in integers only, over the fraction-free (Bareiss) rows of the
-integer matrix -scale * gram that every form keeps; Fractions appear only
-where a form is read in and where a pairing is reported.
+integer matrix -scale * gram that every form keeps; :class:`CeProblem`
+eliminates once, and that elimination both decides definiteness and
+drives the search.  The search visits one vector of each pair {x, -x} and
+carries each level's centres down, updating them by one term per level;
+Fractions appear only where a form is read in and where a pairing is
+reported.
 :func:`enumerate_C_e_bruteforce` is an independent box-scan oracle used
 by the test suite and the self-test command, with the
 coordinate box computed exactly from the diagonal of the inverse form.
@@ -176,9 +180,15 @@ class Restriction:
 
 @dataclass(frozen=True)
 class CeProblem:
+    """A C(e) problem on a negative definite form.  Definiteness is read off
+    the swap-free Bareiss elimination of -scale * gram (every leading minor
+    positive, a zero pivot refused), and the eliminated rows are kept for
+    :func:`enumerate_C_e`, so each problem is eliminated once."""
+
     form: GramForm
     e: tuple[int, ...]
     restrictions: tuple[Restriction, ...] = ()
+    _bareiss: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e", tuple(map(operator.index, self.e)))
@@ -188,8 +198,10 @@ class CeProblem:
         for r in self.restrictions:
             if len(r.row) != self.form.rank:
                 raise BadParameters("restriction row length does not match form rank")
-        if not is_negative_definite(self.form):
+        b = bareiss_rows([[-v for v in row] for row in self.form.rows])
+        if any(b[i][i] <= 0 for i in range(self.form.rank)):
             raise NotDefinite("C(e) requires a negative definite form")
+        object.__setattr__(self, "_bareiss", b)
 
 
 def _canonical_sign(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -234,9 +246,10 @@ def _class_representative(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical_sign(x)
 
 
-#: Most Fincke-Pohst nodes (calls of the recursion) one C(e) enumeration
-#: may visit: the rank-4 identity form at e = (100, 0, 0, 0) needs 4.2
-#: million, and 113 million (213 s) at e = (300, 0, 0, 0).
+#: Most Fincke-Pohst nodes (the root and each coordinate value tried at
+#: any level, leaves included) one C(e) enumeration may visit: the rank-4
+#: identity form at e = (100, 0, 0, 0) needs 2.11 million, and 56.7
+#: million (34 s) at e = (300, 0, 0, 0).
 MAX_CE_NODES = 10**6
 
 
@@ -248,13 +261,21 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
 
     Fincke-Pohst (Math. Comp. 44, 1985) in integers: for A = -scale * gram
     with Bareiss rows b_ij and leading minors D_i (D_0 = 1, b_ii = D_(i+1)),
-    x.Ax = sum_i y_i^2 / (D_i D_(i+1)), y_i = D_(i+1) x_i + sum_(j>i) b_ij x_j.
-    Level i admits the x_i with y_i^2 <= D_i W_i (one isqrt), W_i being the
-    budget left times D_(i+1), and passes down the exact quotient
-    W_(i-1) = (D_i W_i - y_i^2) / D_(i+1); the leaf needs y_0^2 = W_0, so
-    only y_0 = +-isqrt(W_0) is tried, and then the mod-2 and restriction
-    filters.  More than :data:`MAX_CE_NODES` nodes raise
-    :class:`BadParameters`.
+    kept by :class:`CeProblem`,
+    x.Ax = sum_i y_i^2 / (D_i D_(i+1)), y_i = D_(i+1) x_i + N_i with centre
+    N_i = sum_(j>i) b_ij x_j.  Level i admits the x_i with y_i^2 <= D_i W_i
+    (one isqrt), W_i being the budget left times D_(i+1), and passes down
+    the exact quotient W_(i-1) = (D_i W_i - y_i^2) / D_(i+1) and the partial
+    centres c_k = sum_(j>=i) b_kj x_j, k < i, each updated by b_ki x_i
+    (Schnorr-Euchner, Math. Programming 66, 1994), so no centre is summed
+    afresh.  The leaf needs y_0^2 = W_0, so only y_0 = +-isqrt(W_0) is tried,
+    and then the mod-2 and restriction filters.
+
+    Both filters and the representative depend only on the class {x, -x},
+    so one sign per class is searched: the x whose last nonzero coordinate
+    is positive, that is x_i >= 0 at every level whose higher coordinates
+    are all zero (the zero vector is found once).  More than
+    :data:`MAX_CE_NODES` nodes raise :class:`BadParameters`.
     """
     n = P.form.rank
     budget = -_pair(P.form.rows, P.e, P.e)  # scale * target
@@ -262,42 +283,50 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
         raise InternalCheckError(f"a negative definite form gave e.e = {-budget}/{P.form.scale} > 0")
     if n == 0:
         return ((),)
-    b = bareiss_rows([[-v for v in row] for row in P.form.rows])
+    b = P._bareiss
     D = [1] + [b[i][i] for i in range(n)]
     if min(D) <= 0:
         raise NotDefinite("form is not negative definite")
+    cols = [[b[k][i] for k in range(i)] for i in range(n)]  # b_ki, k < i
     found: set[tuple[int, ...]] = set()
     x = [0] * n
-    nodes = 0
+    nodes = 1  # the root; each node counts its children as it finds their interval
 
-    def descend(i: int, w: int) -> None:
+    def leaf(w: int, N: int, free: bool) -> None:
+        s = isqrt(w)  # D_0 = 1; while free N = 0 and +s is the sign searched
+        for y in ((s,) if free else {s, -s}) if s * s == w else ():
+            m, rem = divmod(y - N, D[1])
+            if not rem:
+                cand = (m, *x[1:])
+                if _passes_filters(P, cand):
+                    found.add(_class_representative(P, cand))
+
+    def descend(i: int, w: int, c: list[int], free: bool) -> None:
+        # c[k] = sum_(j>i) b_kj x_j for k <= i; free while x_j = 0 for all j > i
         nonlocal nodes
-        nodes += 1
+        d, N, r2 = D[i + 1], c[i], D[i] * w
+        s = isqrt(r2)
+        lo, hi = 0 if free else -((s + N) // d), (s - N) // d
+        nodes += hi - lo + 1  # >= 0: the real interval has length 2s/d
         if nodes > MAX_CE_NODES:
             raise BadParameters(f"C(e) enumeration exceeds the limit of {MAX_CE_NODES} Fincke-Pohst nodes")
-        d = D[i + 1]
-        N = sum(b[i][j] * x[j] for j in range(i + 1, n))
-        r2 = D[i] * w
-        s = isqrt(r2)
-        if i == 0:
-            # the leaf needs y_0^2 = W_0, so y_0 = +-s when s^2 = W_0
-            for y in {s, -s} if s * s == r2 else ():
-                m, rem = divmod(y - N, d)
-                if not rem:
-                    cand = (m, *x[1:])
-                    if _passes_filters(P, cand):
-                        found.add(_class_representative(P, cand))
-            return
-        for m in range(-((s + N) // d), (s - N) // d + 1):
+        col = cols[i]
+        for m in range(lo, hi + 1):
             x[i] = m
             y = d * m + N
             w_next, rem = divmod(r2 - y * y, d)
             if rem:
                 raise InternalCheckError(f"inexact Fincke-Pohst budget at level {i}")
-            descend(i - 1, w_next)
+            if i == 1:
+                leaf(w_next, c[0] + col[0] * m, free and not m)
+            else:
+                descend(i - 1, w_next, [ck + bk * m for ck, bk in zip(c, col)], free and not m)
         x[i] = 0
 
-    descend(n - 1, D[n] * budget)
+    if n == 1:
+        leaf(D[1] * budget, 0, True)
+    else:
+        descend(n - 1, D[n] * budget, [0] * n, True)
     return tuple(sorted(found))
 
 

@@ -214,7 +214,7 @@ def test_knot_order_cap(tmp_path):
 
 def test_c_e_node_cap(tmp_path):
     # the enumeration is refused once it visits more than MAX_CE_NODES nodes;
-    # the rank-4 identity form at e = (100, 0, 0, 0) needs about 4.2 million
+    # the rank-4 identity form at e = (100, 0, 0, 0) needs about 2.11 million
     from gaugecert.lattice import MAX_CE_NODES
 
     assert MAX_CE_NODES == 10**6

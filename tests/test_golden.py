@@ -4,7 +4,8 @@ before the signature code was made division-free; the text reports, the
 Seifert, family, C(e), plumbing, rho-transfer and selftest outputs before
 every exact determinant was routed through one integer elimination; the
 README examples and the transfers at a = 61 and a = 31 before the cos/sin
-table of the pivot signs was built from integers alone.  Each
+table of the pivot signs was built from integers alone; the rank-6 C(e)
+report before the enumeration searched one sign per class.  Each
 output must stay byte identical; the call counts pin that each knotted
 strand's Alexander polynomial and signatures are computed once."""
 
@@ -36,6 +37,9 @@ REPORTS = [
     pytest.param(["--format", "text", "check-fs", "2,1", "3,1", "5,-4"], "fs_2_3_5.report.txt", id="fs-2-3-5-text"),
     pytest.param(["check-family", "3", "5", "7", "6,48,342,2400"], "family_3_5_7.report.json", id="family-3-5-7"),
     pytest.param(["c-e", "ce_rank4.problem.json"], "ce_rank4.report.json", id="c-e-rank4"),
+    # five classes, three with a pinned sign, all with last coordinate 0: where the
+    # one-sign-per-class search starts
+    pytest.param(["c-e", "ce_rank6.problem.json"], "ce_rank6.report.json", id="c-e-rank6"),
     pytest.param(["plumbing", "7", "2"], "plumbing_7_2.report.json", id="plumbing-7-2"),
     pytest.param(["rho-transfer", "3", "1", "--seifert-matrix", GENUS2], "rho_transfer_genus2.report.json",
                  id="rho-transfer-genus2"),

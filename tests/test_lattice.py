@@ -69,6 +69,8 @@ def test_ce_examples():
     assert classes == ((3, -1), (3, 1))
     with pytest.raises(NotDefinite):
         CeProblem(_diag(-1, 1), (1, 0))
+    with pytest.raises(NotDefinite):  # singular: the second pivot is zero
+        CeProblem(GramForm(2, ((-1, 1), (1, -1))), (1, 1))
 
 
 def test_ce_zero_class():
@@ -116,6 +118,30 @@ def test_enumeration_matches_bruteforce_randomized():
         if -G.apply(e, e) > 20:
             continue
         _assert_matches_bruteforce(rng, G, e)
+    # the search takes one sign per class, the one whose last nonzero
+    # coordinate is positive: e = 0, and e with trailing zero coordinates
+    for _ in range(30):
+        G = _random_negdef(rng)
+        _assert_matches_bruteforce(rng, G, (0,) * G.rank)
+        k = rng.randint(1, G.rank)
+        e = tuple(rng.randint(-2, 2) if i < k - 1 else 0 for i in range(G.rank))
+        if -G.apply(e, e) <= 20:
+            _assert_matches_bruteforce(rng, G, e)
+    # at rank 5, a restriction with odd modulus m and r.e != 0 mod m pins the
+    # sign of e; e is reported as given although its first nonzero entry is negative
+    G5 = GramForm(5, ((-3, 1, 0, 0, 1), (1, -4, 1, 0, 0), (0, 1, -3, 1, 0), (0, 0, 1, -5, 1), (1, 0, 0, 1, -4)))
+    pinned = 0
+    for _ in range(12):
+        e = (-rng.randint(1, 2), *(rng.randint(-1, 1) for _ in range(3)), 0)
+        m = rng.choice((3, 5, 7))
+        row = tuple(rng.randint(-2, 2) for _ in range(5))
+        if sum(c * v for c, v in zip(row, e)) % m == 0:
+            continue
+        P = CeProblem(G5, e, (Restriction(m, row),))
+        classes = enumerate_C_e(P)
+        assert classes == enumerate_C_e_bruteforce(P) and e in classes
+        pinned += 1
+    assert pinned >= 6
 
 
 @pytest.mark.parametrize("scale", [2, 3, 6])
