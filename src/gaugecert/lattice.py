@@ -25,9 +25,11 @@ reported.
 :func:`enumerate_C_e_bruteforce` is an independent box-scan oracle used
 by the test suite and the self-test command, with the
 coordinate box computed exactly from the diagonal of the inverse form.
-Sign classes are canonicalized so the first nonzero coordinate is
-positive, and output is sorted, hence deterministic even if the search is
-ever parallelized.
+Both map each candidate to its class in one pass: the mod-2 test, then
+r.x and r.e once per restriction r, from which the up-to-sign filter and
+the sign that restricts to e on the nose are both read.  A class is
+reported by that pinned sign when exactly one sign restricts on the nose,
+else with its first nonzero coordinate positive; output is sorted.
 
 :func:`detect_orthogonal_split` decides whether the lattice is generated
 by e together with the integer orthogonal complement of e; when it is,
@@ -39,7 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import gcd, isqrt
 
 from .errors import BadParameters, HypothesisFailed, InternalCheckError, NotDefinite
 from .exactnum import HJExpansion, continuants, xgcd
@@ -204,46 +206,24 @@ class CeProblem:
         object.__setattr__(self, "_bareiss", b)
 
 
-def _canonical_sign(x: tuple[int, ...]) -> tuple[int, ...]:
-    for v in x:
-        if v > 0:
-            return x
-        if v < 0:
-            return tuple(-y for y in x)
-    return x
-
-
-def _passes_filters(P: CeProblem, x: tuple[int, ...]) -> bool:
+def _class_of(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The reported representative of the class {x, -x}, or None if x fails
+    a filter: x = e mod 2, and r.x = +-r.e mod the modulus of each
+    restriction r.  If exactly one of x, -x restricts to e on the nose, that
+    sign is pinned; otherwise the first nonzero coordinate is positive."""
     if any((xi - ei) % 2 for xi, ei in zip(x, P.e)):
-        return False
+        return None
+    plus = minus = True  # x, respectively -x, restricts to e on the nose
     for r in P.restrictions:
         rx = sum(c * xi for c, xi in zip(r.row, x))
         re = sum(c * ei for c, ei in zip(r.row, P.e))
-        if (rx - re) % r.modulus and (rx + re) % r.modulus:
-            return False
-    return True
-
-
-def _strict_restrictions(P: CeProblem, x: tuple[int, ...]) -> bool:
-    # restriction equality on the nose, no sign allowance
-    return all(
-        (sum(c * xi for c, xi in zip(r.row, x)) - sum(c * ei for c, ei in zip(r.row, P.e)))
-        % r.modulus == 0
-        for r in P.restrictions
-    )
-
-
-def _class_representative(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Representative of the class {x, -x}: if exactly one sign restricts to
-    the restrictions of e on the nose, that sign is pinned and reported;
-    otherwise the first nonzero coordinate is made positive."""
-    neg = tuple(-v for v in x)
-    sx, sn = _strict_restrictions(P, x), _strict_restrictions(P, neg)
-    if sx and not sn:
-        return x
-    if sn and not sx:
-        return neg
-    return _canonical_sign(x)
+        same, flipped = (rx - re) % r.modulus == 0, (rx + re) % r.modulus == 0
+        if not (same or flipped):
+            return None
+        plus, minus = plus and same, minus and flipped
+    if plus == minus:
+        plus = next((v > 0 for v in x if v), True)
+    return x if plus else tuple(-v for v in x)
 
 
 #: Most Fincke-Pohst nodes (the root and each coordinate value tried at
@@ -269,7 +249,8 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     centres c_k = sum_(j>=i) b_kj x_j, k < i, each updated by b_ki x_i
     (Schnorr-Euchner, Math. Programming 66, 1994), so no centre is summed
     afresh.  The leaf needs y_0^2 = W_0, so only y_0 = +-isqrt(W_0) is tried,
-    and then the mod-2 and restriction filters.
+    and the candidate then goes through the one-pass class map, which
+    applies the mod-2 and restriction filters and picks the representative.
 
     Both filters and the representative depend only on the class {x, -x},
     so one sign per class is searched: the x whose last nonzero coordinate
@@ -284,9 +265,7 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
     b = P._bareiss
-    D = [1] + [b[i][i] for i in range(n)]
-    if min(D) <= 0:
-        raise NotDefinite("form is not negative definite")
+    D = [1] + [b[i][i] for i in range(n)]  # all positive: CeProblem checked definiteness
     cols = [[b[k][i] for k in range(i)] for i in range(n)]  # b_ki, k < i
     found: set[tuple[int, ...]] = set()
     x = [0] * n
@@ -296,10 +275,8 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
         s = isqrt(w)  # D_0 = 1; while free N = 0 and +s is the sign searched
         for y in ((s,) if free else {s, -s}) if s * s == w else ():
             m, rem = divmod(y - N, D[1])
-            if not rem:
-                cand = (m, *x[1:])
-                if _passes_filters(P, cand):
-                    found.add(_class_representative(P, cand))
+            if not rem and (rep := _class_of(P, (m, *x[1:]))) is not None:
+                found.add(rep)
 
     def descend(i: int, w: int, c: list[int], free: bool) -> None:
         # c[k] = sum_(j>i) b_kj x_j for k <= i; free while x_j = 0 for all j > i
@@ -354,8 +331,8 @@ def enumerate_C_e_bruteforce(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     def scan(i: int, partial: list[int]) -> None:
         if i == n:
             cand = tuple(partial)
-            if _pair(P.form.rows, cand, cand) == norm and _passes_filters(P, cand):
-                found.add(_class_representative(P, cand))
+            if _pair(P.form.rows, cand, cand) == norm and (rep := _class_of(P, cand)) is not None:
+                found.add(rep)
             return
         for v in range(-bounds[i], bounds[i] + 1):
             scan(i + 1, partial + [v])
@@ -411,18 +388,16 @@ class ReducibleCountVerdict:
         return "odd" if (self.unique_witness and self.torsion_odd) else "unknown"
 
 
-def sfqhs_reducible_count(
-    p: int, q: int, d: int, n_last: int, torsion_odd: bool, window_slack: int = 0
-) -> ReducibleCountVerdict:
+def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int, torsion_odd: bool) -> ReducibleCountVerdict:
     """Exhaustively verify that the restriction class of a reducible bundle
     in the surgery-family argument is pinned to k = 1.
 
     Searches all k in [0, a) with k = 1 mod p, k = +-1 mod q and
     k = +-1 mod (pq n - d), where a = pq (pq n - d), and all l2 with
     |d k + a l2| <= d (sufficient: any solution of
-    d^2 = l3 a + (d k + a l2)^2 with l3 >= 0 has |d k + a l2| <= d;
-    ``window_slack`` widens the window for stability tests), and reports
-    every solution.  Requires a > d^2 and p, q, d pairwise coprime, odd
+    d^2 = l3 a + (d k + a l2)^2 with l3 >= 0 has |d k + a l2| <= d), that
+    is -((d + d k) // a) <= l2 <= (d - d k) // a in integer floor division,
+    and reports every solution.  Requires a > d^2 and p, q, d pairwise coprime, odd
     and positive, and the assertion that the relative torsion is odd.
     """
     if min(p, q, d) < 1 or p % 2 == 0 or q % 2 == 0 or d % 2 == 0:
@@ -441,9 +416,7 @@ def sfqhs_reducible_count(
     for eps_q in (1, -1):
         for eps_3 in (1, -1):
             k = _crt3((1, p), (eps_q % q, q), (eps_3 % a3, a3))
-            lo = ceil(Fraction(-d - d * k, a)) - window_slack
-            hi = floor(Fraction(d - d * k, a)) + window_slack
-            for l2 in range(lo, hi + 1):
+            for l2 in range(-((d + d * k) // a), (d - d * k) // a + 1):
                 m = d * k + a * l2
                 rem = d * d - m * m
                 if rem >= 0 and rem % a == 0:

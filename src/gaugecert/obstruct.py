@@ -303,11 +303,12 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     a = S.a_product
 
     ok = lines.add("homology sphere", "d = (a_1...a_n) sum b_i/a_i; need |d| = 1", d, abs(d) == 1)
+    multiplicities = all(ai >= 2 for ai, _ in S.pairs)
     ok &= lines.add(
         "strand multiplicities",
         "every a_i >= 2 (multiplicity-1 strands must be normalized away)",
-        all(ai >= 2 for ai, _ in S.pairs),
-        all(ai >= 2 for ai, _ in S.pairs),
+        multiplicities,
+        multiplicities,
     )
     h1_ok = check_h1_z2(S)
     lines.add("H^1(X; Z/2) = 0", "at most one a_i is even", h1_ok, h1_ok)
@@ -438,19 +439,11 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     lines = _Lines()
     provenance: list[str] = []
 
-    ok = lines.add(
-        "parameters coprime",
-        "p, q, d pairwise coprime",
-        gcd(p, q) == gcd(p, d) == gcd(q, d) == 1,
-        gcd(p, q) == gcd(p, d) == gcd(q, d) == 1,
-    )
-    ok &= lines.add(
-        "parameters positive odd",
-        "p, q, d positive and odd",
-        min(p, q, d) >= 1 and p % 2 == q % 2 == d % 2 == 1,
-        min(p, q, d) >= 1 and p % 2 == q % 2 == d % 2 == 1,
-    )
-    ok &= lines.add("n_list nonempty", "at least one surgery coefficient", len(n_list) > 0, len(n_list) > 0)
+    coprime = gcd(p, q) == gcd(p, d) == gcd(q, d) == 1
+    positive_odd = min(p, q, d) >= 1 and p % 2 == q % 2 == d % 2 == 1
+    ok = lines.add("parameters coprime", "p, q, d pairwise coprime", coprime, coprime)
+    ok &= lines.add("parameters positive odd", "p, q, d positive and odd", positive_odd, positive_odd)
+    ok &= lines.add("n_list nonempty", "at least one surgery coefficient", bool(n_list), bool(n_list))
     if not ok:
         return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
 
@@ -532,14 +525,9 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
         margin > 0,
     )
 
-    all_odd = all((pq * n_i - d) % 2 == 1 for n_i in n_list)
-    lines.add(
-        "boundary Z/2 homology spheres",
-        "p, q, d and every pq n_i - d odd",
-        all_odd,
-        all_odd and p % 2 == q % 2 == d % 2 == 1,
-    )
-    torsion_odd = all_odd and p % 2 == q % 2 == d % 2 == 1
+    # p, q and d are odd, or the report ended at "parameters positive odd"
+    torsion_odd = all((pq * n_i - d) % 2 == 1 for n_i in n_list)
+    lines.add("boundary Z/2 homology spheres", "p, q, d and every pq n_i - d odd", torsion_odd, torsion_odd)
     if torsion_odd:
         provenance.append(
             "odd torsion of the relative second cohomology derived from: boundary "

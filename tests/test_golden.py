@@ -5,7 +5,9 @@ Seifert, family, C(e), plumbing, rho-transfer and selftest outputs before
 every exact determinant was routed through one integer elimination; the
 README examples and the transfers at a = 61 and a = 31 before the cos/sin
 table of the pivot signs was built from integers alone; the rank-6 C(e)
-report before the enumeration searched one sign per class.  Each
+report before the enumeration searched one sign per class; the remaining
+README examples and the Inconclusive Sigma(2,3,7) report before the C(e)
+class map was made one pass.  Each
 output must stay byte identical; the call counts pin that each knotted
 strand's Alexander polynomial and signatures are computed once."""
 
@@ -50,6 +52,16 @@ REPORTS = [
     pytest.param(["r-invariant", "2,1", "3,1", "11,-9"], "r_invariant_2_3_11.report.json", id="r-invariant-2-3-11"),
     pytest.param(["ind-plus", "3,1", "5,-2", "83,6"], "ind_plus_3_5_83.report.json", id="ind-plus-3-5-83"),
     pytest.param(["tau-bound", "--lens", "11", "9"], "tau_bound_lens_11_9.report.json", id="tau-bound-lens-11-9"),
+    pytest.param(["tau-bound", "--seifert", "3,1", "5,-2", "83,6"], "tau_bound_seifert_3_5_83.report.json",
+                 id="tau-bound-seifert-3-5-83"),
+    pytest.param(["tau-bound", "--denominator", "24"], "tau_bound_denominator_24.report.json",
+                 id="tau-bound-denominator-24"),
+    pytest.param(["rho-transfer", "3", "1", "--knot", "figure8"], "rho_transfer_3_1_figure8.report.json",
+                 id="rho-transfer-3-1-figure8"),
+    # its restriction with modulus 5 filters out the class (3, -1)
+    pytest.param(["c-e", "ce_readme.problem.json"], "ce_readme.report.json", id="c-e-readme"),
+    # Sigma(2,3,7): Ind+ = R = -1 < 0, so the parity theorem does not apply
+    pytest.param(["check-fs", "2,1", "3,-1", "7,-1"], "fs_2_3_7.report.json", id="fs-2-3-7"),
     # knotted transfers whose pivot signs read the cos/sin table beyond a = 3
     pytest.param(["rho-transfer", "61", "20", "--knot", "trefoil"], "rho_transfer_61_20_trefoil.report.json",
                  id="rho-transfer-61-20-trefoil"),

@@ -2,8 +2,10 @@
 its brute-force oracle, the orthogonal split rule, and the family count."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import floor, gcd, isqrt
 
 import pytest
 
@@ -144,6 +146,74 @@ def test_enumeration_matches_bruteforce_randomized():
     assert pinned >= 6
 
 
+def _ce_by_definition(G, e, restrictions):
+    """C(e) from its definition, sharing no code with the library: a box scan
+    over |x_i| <= sqrt(t (A^-1)_ii), A = -gram, t = -e.e (Cauchy-Schwarz in
+    the A inner product), keeping the x with x.x = e.e, x = e mod 2 and each
+    r.x = +-r.e mod m.  Each class {x, -x} is reported by the one sign that
+    restricts to e on the nose when exactly one does, else with its first
+    nonzero coordinate positive.  Returns the sorted classes and a count of
+    how each one's sign was chosen."""
+    n = G.rank
+    A = [[-Fraction(v) for v in row] for row in G.gram]
+    S = [[int(G.scale * v) for v in row] for row in A]  # scale * A, integral
+
+    def norm(x):  # scale * x.Ax
+        return sum(x[i] * S[i][j] * x[j] for i in range(n) for j in range(n))
+
+    M = [A[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):  # Gauss-Jordan; every pivot is positive on a definite form
+        M[i] = [v / M[i][i] for v in M[i]]
+        for k in range(n):
+            if k != i:
+                M[k] = [u - M[k][i] * v for u, v in zip(M[k], M[i])]
+    t = norm(e)
+    bounds = [isqrt(floor(t * M[i][n + i] / G.scale)) for i in range(n)]
+
+    classes, kinds = set(), Counter()
+    for x in product(*(range(-b, b + 1) for b in bounds)):
+        if norm(x) != t or any((xi - ei) % 2 for xi, ei in zip(x, e)):
+            continue
+        # (r.x - r.e, r.x + r.e) mod m: x, respectively -x, restricts to e on the nose when 0
+        diffs = [(sum(c * (xi - ei) for c, xi, ei in zip(row, x, e)) % m,
+                  sum(c * (xi + ei) for c, xi, ei in zip(row, x, e)) % m) for m, row in restrictions]
+        if any(u and v for u, v in diffs):
+            continue
+        x_on_nose, neg_on_nose = all(not u for u, _ in diffs), all(not v for _, v in diffs)
+        neg = tuple(-v for v in x)
+        if x_on_nose != neg_on_nose:
+            rep, kind = (x if x_on_nose else neg), "pinned"
+        else:
+            rep, kind = (neg if any(x) and next(v for v in x if v) < 0 else x), ("both" if x_on_nose else "neither")
+        if rep not in classes:
+            classes.add(rep)
+            kinds[kind] += 1
+    return tuple(sorted(classes)), kinds
+
+
+def test_class_map_matches_definition():
+    # seeded random problems: rank 1-3, one or two restrictions, moduli 2-7
+    rng = random.Random(2024)
+    kinds = Counter()
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        # A = L^T L with L unit-or-2 lower triangular: positive definite
+        L = [[rng.randint(-1, 1) if j < i else rng.choice((1, 2)) * (i == j) for j in range(n)] for i in range(n)]
+        A = [[sum(L[k][i] * L[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        scale = rng.choice((1, 2))
+        G = GramForm(n, tuple(tuple(Fraction(-v, scale) for v in row) for row in A), scale)
+        e = tuple(rng.randint(-3, 3) for _ in range(n))
+        if -scale * G.apply(e, e) > 40:
+            continue
+        restrictions = [(rng.randint(2, 7), tuple(rng.randint(-2, 2) for _ in range(n))) for _ in range(rng.randint(1, 2))]
+        expected, k = _ce_by_definition(G, e, restrictions)
+        assert enumerate_C_e(CeProblem(G, e, tuple(Restriction(m, row) for m, row in restrictions))) == expected
+        kinds += k
+    # every rule of the sign choice is exercised: one sign pinned, both signs
+    # on the nose, neither on the nose (each restriction met, some only up to sign)
+    assert min(kinds["pinned"], kinds["both"], kinds["neither"]) >= 10, kinds
+
+
 @pytest.mark.parametrize("scale", [2, 3, 6])
 def test_enumeration_matches_bruteforce_scaled(scale):
     # -(L^T L) / scale: entries in (1/scale) Z, so the budget divisions run
@@ -205,9 +275,20 @@ def test_reducible_count():
     assert v.unique_witness and v.count_parity == "odd"
     v48 = sfqhs_reducible_count(3, 5, 7, 48, torsion_odd=True)
     assert v48.unique_witness
-    # stability under widening the l2 window
-    wide = sfqhs_reducible_count(3, 5, 7, 6, torsion_odd=True, window_slack=3)
-    assert wide.solutions == v.solutions
+    # stability: a scan over every k < a that meets the congruences and a
+    # wider l2 window (|d k + a l2| <= d forces -d <= l2 <= 0) finds the same
+    p, q, d = 3, 5, 7
+    for n, verdict in ((6, v), (48, v48)):
+        a3 = p * q * n - d
+        a = p * q * a3
+        wide = tuple(
+            (k, l2, (d * d - (d * k + a * l2) ** 2) // a)
+            for k in range(a)
+            if k % p == 1 and k % q in (1, q - 1) and k % a3 in (1, a3 - 1)
+            for l2 in range(-d - 3, 4)
+            if (d * k + a * l2) ** 2 <= d * d and (d * d - (d * k + a * l2) ** 2) % a == 0
+        )
+        assert wide == verdict.solutions
 
 
 def test_reducible_count_guards():
