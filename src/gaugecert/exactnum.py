@@ -108,7 +108,8 @@ def _divisors(a: int) -> list[int]:
 def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     # exact division of integer polynomials, den monic
     num = list(num)
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise InternalCheckError(f"polynomial division by {tuple(den)}, which is not monic")
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1]
@@ -116,7 +117,8 @@ def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
         if c:
             for j, d in enumerate(den):
                 num[i + j] -= c * d
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise InternalCheckError(f"polynomial division by {tuple(den)} leaves a remainder")
     return out
 
 
@@ -133,7 +135,8 @@ def cyclotomic_poly(a: int) -> tuple[int, ...]:
     for m in _divisors(a):
         if m < a:
             poly = _poly_div_exact(poly, cyclotomic_poly(m))
-    assert len(poly) == euler_phi(a) + 1 and poly[-1] == 1
+    if len(poly) != euler_phi(a) + 1 or poly[-1] != 1:
+        raise InternalCheckError(f"Phi_{a} = {tuple(poly)} is not monic of degree phi({a})")
     return tuple(poly)
 
 
@@ -407,15 +410,18 @@ def crt_solve(moduli: Sequence[int], target: int = 1) -> tuple[int, ...]:
             b = 0
         else:
             b = (d * inverse_mod(cof % m, m)) % m
-            assert 0 < b < m
+            if not 0 < b < m:
+                raise InternalCheckError(f"coefficient {b} for modulus {m} is not in (0, {m})")
         out.append(b)
         partial += b * cof
     last = moduli[-1]
     cof = a // last
     num = d - partial
-    assert num % cof == 0
+    if num % cof:
+        raise InternalCheckError(f"last coefficient {num}/{cof} is not an integer")
     out.append(num // cof)
-    assert gcd(out[-1], last) == 1
+    if gcd(out[-1], last) != 1:
+        raise InternalCheckError(f"last coefficient {out[-1]} is not coprime to modulus {last}")
     return tuple(out)
 
 

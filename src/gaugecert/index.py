@@ -22,10 +22,14 @@ the canonical reducible bundle has two expressions that must agree:
 
   closed form:    2n - 3 - 2 sum_i K_i,   0 < b_i + K_i a_i < a_i.
 
-Both are always evaluated and compared; a disagreement raises
-:class:`ClosedFormMismatch` and means an arithmetic bug, so the reduction
-is a permanent self-test rather than a one-time proof.  For d = 1 this
-integer is the classical definite-bounding obstruction R(a_1, ..., a_n).
+:func:`r_invariant` and :func:`ind_plus_seifert_qhs` evaluate and compare
+both; a disagreement raises :class:`ClosedFormMismatch` and means an
+arithmetic bug, so the reduction is a permanent self-test rather than a
+one-time proof.  For d = 1 this integer is the classical definite-bounding
+obstruction R(a_1, ..., a_n).  :func:`gaugecert.obstruct.check_surgery_config`
+computes each strand's cotangent sum once, in the rho transfer, whose Ind+
+minus the signature sum is the trigonometric form term by term, and
+compares that with :func:`index_closed_form`.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "IndexInputs",
     "ind_plus_general",
     "ind_plus_seifert_qhs",
+    "index_closed_form",
     "k_coefficients",
     "r_invariant",
 ]
@@ -99,11 +104,15 @@ def k_coefficients(S: SeifertData) -> tuple[int, ...]:
     return tuple(out)
 
 
+def index_closed_form(S: SeifertData) -> int:
+    """2n - 3 - 2 sum K_i: the closed form of the index, and R(a_1, ..., a_n)
+    when d = 1.  Every a_i must be at least 2 (see :func:`k_coefficients`)."""
+    return 2 * S.n - 3 - 2 * sum(k_coefficients(S))
+
+
 def _ind_plus_both_forms(S: SeifertData, d: int) -> int:
-    n = S.n
-    ks = k_coefficients(S)
-    closed = 2 * n - 3 - 2 * sum(ks)
-    trig = Fraction(2 * d, S.a_product) - 3 + n
+    closed = index_closed_form(S)
+    trig = Fraction(2 * d, S.a_product) - 3 + S.n
     for a, b in S.pairs:
         trig += Fraction(2, a) * cot_cot_sin2_sum(a, b, b)
     if trig != closed:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BadParameters
+from .errors import BadParameters, InternalCheckError
 from .exactnum import cot_cot_sin2_sum, inverse_mod
 
 __all__ = ["LensSpace", "nz_closed_form", "rho_lens"]
@@ -76,5 +76,6 @@ def nz_closed_form(a: int, c: int) -> Fraction:
     if gcd(a, c) != 1:
         raise BadParameters(f"gcd({a}, {c}) != 1")
     cstar = (-inverse_mod(c % a, a)) % a
-    assert 0 < cstar < a and (c * cstar) % a == a - 1
+    if not 0 < cstar < a or (c * cstar) % a != a - 1:
+        raise InternalCheckError(f"c* = {cstar} is not -1/{c} mod {a} in (0, {a})")
     return Fraction(2 * cstar, a) - 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BadParameters
+from .errors import BadParameters, InternalCheckError
 from .exactnum import xgcd
 
 __all__ = ["bareiss_leading_minors", "bareiss_rows", "det_int", "kernel_basis_int"]
@@ -91,5 +91,6 @@ def kernel_basis_int(vec: Sequence[int]) -> list[list[int]]:
             row[0] = c0 * s + ci * t
             row[i] = -c0 * ai + ci * a0
         v[0], v[i] = g, 0
-    assert v[0] != 0 and all(x == 0 for x in v[1:])
+    if v[0] == 0 or any(v[1:]):
+        raise InternalCheckError(f"unimodular reduction of {list(vec)} left {v}, not (g, 0, ..., 0)")
     return [[u[i][j] for i in range(r)] for j in range(1, r)]

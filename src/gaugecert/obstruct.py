@@ -31,6 +31,10 @@ where the sigmas are Levine-Tristram signatures of the strand knot (zero
 for unknots).  For unknotted strands this equals rho(L(a, -b mod a)) at
 the meridian holonomy, which reproduces the Seifert index formula; the
 cross-check Ind+ = R + sum of signatures is made on every run.  Each
+strand's cotangent sum is computed once, in the transfer: Ind+ minus the
+signature sum is R's trigonometric form term by term, and it is compared
+with R's closed form 2n - 3 - 2 sum K_i, so a wrong sum raises an "index
+transfer mismatch" :class:`InternalCheckError` (exit status 3).  Each
 knotted strand's Alexander polynomial and its two signatures are computed
 once, and the transfer and the cross-check both read them.
 """
@@ -55,7 +59,7 @@ from .cstau import (
     tau_lower_seifert,
 )
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
-from .index import BoundaryTerm, IndexInputs, ind_plus_general, ind_plus_seifert_qhs, r_invariant
+from .index import BoundaryTerm, IndexInputs, ind_plus_general, ind_plus_seifert_qhs, index_closed_form
 from .knots import KNOT_CATALOG, SeifertMatrix, alexander_from_seifert, lt_signature, nondegenerate_at
 from .lattice import CeProblem, GramForm, Restriction, detect_orthogonal_split, enumerate_C_e, sfqhs_reducible_count
 from .lens import LensSpace, rho_lens
@@ -280,10 +284,10 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
 
     Verifies: d = 1 (after orienting so d > 0, which is recorded), at most
     one multiplicity even, nondegeneracy of every strand connection, the
-    index value (both Seifert index forms plus the signature-corrected
-    transfer), the strict window 0 < p_1 < tau-hat <= 4, and the singleton
-    count of reducibles; the contradiction with the required even count
-    greater than 1 then yields the conclusion.
+    index value (the signature-corrected transfer against R's closed form),
+    the strict window 0 < p_1 < tau-hat <= 4, and the singleton count of
+    reducibles; the contradiction with the required even count greater
+    than 1 then yields the conclusion.
     """
     strands = tuple(strands)
     problem = {
@@ -293,13 +297,12 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     lines = _Lines()
     provenance: list[str] = []
 
-    raw = SeifertData(tuple((s.a, s.b) for s in strands))
-    d_raw = d_invariant(raw)
-    if d_raw < 0:
-        strands = tuple(s.reversed() for s in strands)
-        provenance.append(f"orientation reversed (input had d = {d_raw}); all b_i flipped")
     S = SeifertData(tuple((s.a, s.b) for s in strands))
     d = d_invariant(S)
+    if d < 0:
+        strands = tuple(s.reversed() for s in strands)
+        provenance.append(f"orientation reversed (input had d = {d}); all b_i flipped")
+        S, d = S.reversed(), -d
     a = S.a_product
 
     ok = lines.add("homology sphere", "d = (a_1...a_n) sum b_i/a_i; need |d| = 1", d, abs(d) == 1)
@@ -337,8 +340,10 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
             )
         nondeg.append(ok_s)
 
-    # index, via the signature-corrected transfer, cross-checked against R;
-    # both read the same signatures, computed once per strand
+    # index, via the signature-corrected transfer, cross-checked against R's
+    # closed form; Ind+ minus the signature sum is R's trigonometric form
+    # term by term, so each strand's cotangent sum (in rho_lens) and its
+    # signatures are computed once
     try:
         sigmas = [
             _signature_pair(s.seifert_matrix, s.a, s.b % s.a, ok_s) for s, ok_s in zip(strands, nondeg)
@@ -350,7 +355,7 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     rhos = [-_transfer(LensSpace(s.a, s.b), pair) for s, pair in zip(strands, sigmas)]
     p1 = Fraction(d, a)
     ind = ind_plus_general(IndexInputs(p1, tuple(BoundaryTerm(1, rho) for rho in rhos)))
-    r_value = r_invariant(S)
+    r_value = index_closed_form(S)
     # each knotted strand shifts the index by its Levine-Tristram signature:
     # rho_i = -(rho_lens + 2 sigma_i) enters with weight -1/2
     sig_sum = 0

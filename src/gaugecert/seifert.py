@@ -101,7 +101,8 @@ def _min_abs_solution(p: int, q: int) -> tuple[int, int]:
     candidates = [r0, r0 - p]
     r = min(candidates, key=lambda x: (abs(x), -x))
     s = (-1 - r * q) // p
-    assert p * s + r * q == -1
+    if p * s + r * q != -1:
+        raise InternalCheckError(f"p s + r q = {p * s + r * q}, not -1, at (p, q, r) = ({p}, {q}, {r})")
     return r, s
 
 

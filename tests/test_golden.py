@@ -9,7 +9,8 @@ report before the enumeration searched one sign per class; the remaining
 README examples and the Inconclusive Sigma(2,3,7) report before the C(e)
 class map was made one pass.  Each
 output must stay byte identical; the call counts pin that each knotted
-strand's Alexander polynomial and signatures are computed once."""
+strand's Alexander polynomial and signatures, and each strand's cotangent
+sum, are computed once."""
 
 import json
 from pathlib import Path
@@ -17,7 +18,10 @@ from pathlib import Path
 import pytest
 
 import gaugecert.cli as cli
+import gaugecert.index as index
+import gaugecert.lens as lens
 import gaugecert.obstruct as obstruct
+from gaugecert import SeifertData
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = ("figure8_obstructed", "genus2_inconclusive", "trefoil_degenerate")
@@ -106,3 +110,28 @@ def test_knotted_strand_call_counts(monkeypatch, name, expected):
         monkeypatch.setattr(obstruct, fname, counting(fname, getattr(obstruct, fname)))
     obstruct.run_problem(json.loads((GOLDEN / f"{name}.problem.json").read_text(encoding="utf-8")))
     assert calls == expected
+
+
+def _fs_2_3_5():
+    pairs = json.loads((GOLDEN / "fs_2_3_5.report.json").read_text(encoding="utf-8"))["problem"]["pairs"]
+    return obstruct.check_fintushel_stern(SeifertData(pairs))
+
+
+def _figure8_obstructed():
+    return obstruct.run_problem(json.loads((GOLDEN / "figure8_obstructed.problem.json").read_text(encoding="utf-8")))
+
+
+def _family_3_5_7():
+    return obstruct.check_sfqhs_family(3, 5, 7, (6, 48, 342, 2400))
+
+
+# check-fs computes each strand's sum once, inside the rho transfer;
+# check-family computes it once per strand of the largest n_k, in both index forms
+@pytest.mark.parametrize("check", [_fs_2_3_5, _figure8_obstructed, _family_3_5_7])
+def test_cotangent_sum_once_per_strand(monkeypatch, check):
+    calls = []
+    for module in (lens, index):
+        fn = module.cot_cot_sin2_sum
+        monkeypatch.setattr(module, "cot_cot_sin2_sum", lambda *args, fn=fn: calls.append(args) or fn(*args))
+    check()
+    assert len(calls) == 3

@@ -103,6 +103,25 @@ def test_surgery_config_conjugation_check(monkeypatch):
         check_surgery_config(strands)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_fintushel_stern(SeifertData(((2, 1), (3, 1), (5, -4)))),
+        lambda: check_surgery_config((Strand(2, 1), Strand(3, -1, knot="figure8"), Strand(11, -2))),
+    ],
+    ids=["fs_2_3_5", "figure8_obstructed"],
+)
+def test_wrong_cotangent_sum_is_a_transfer_mismatch(monkeypatch, check):
+    # the transferred Ind+ is checked against R's closed form, so a cotangent
+    # sum that is off by one cannot reach a report
+    import gaugecert.lens as lens
+
+    true_sum = lens.cot_cot_sin2_sum
+    monkeypatch.setattr(lens, "cot_cot_sin2_sum", lambda a, b, l: true_sum(a, b, l) + 1)
+    with pytest.raises(InternalCheckError, match="index transfer mismatch"):
+        check()
+
+
 def test_surgery_config_unknown_knot_inconclusive():
     # a knotted strand with no Chern-Simons profile cannot be certified
     strands = (Strand(2, 1), Strand(3, -1, knot="trefoil"), Strand(11, -2))

@@ -1,6 +1,8 @@
 """Seifert data bookkeeping: the d invariant, torus-knot surgery data,
 holonomy, and the Z/2 cohomology condition."""
 
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -58,6 +60,23 @@ def test_torus_knot_surgery_d_check(monkeypatch):
     monkeypatch.setattr(seifert, "d_invariant", lambda S: 0)
     with pytest.raises(InternalCheckError):
         torus_knot_surgery(3, 5, 7, 6)
+
+
+def test_torus_knot_surgery_bezout_check_under_O():
+    # a wrong inverse breaks p s + r q = -1; the check must fire before the
+    # later d check, also under python -O, which strips asserts
+    code = (
+        "import gaugecert.seifert as seifert\n"
+        "seifert.inverse_mod = lambda x, m: 0\n"
+        "try:\n"
+        "    seifert.torus_knot_surgery(3, 5, 7, 6)\n"
+        "except seifert.InternalCheckError as exc:\n"
+        "    print(exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("p s + r q = ")
+    assert ", not -1, at (p, q, r) = (3, 5, 0)" in r.stdout
 
 
 def test_torus_knot_surgery_d_grid():
