@@ -60,4 +60,5 @@ class NotDefinite(GaugeCertError, ValueError):
 
 class SingularPivot(GaugeCertError):
     """A Hermitian form is singular: the evaluation point is a root of the
-    Alexander polynomial, so the signature pivot cannot be certified."""
+    Alexander polynomial, so the constant coefficient of the characteristic
+    polynomial is zero and the signature is not defined."""

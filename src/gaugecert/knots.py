@@ -1,32 +1,31 @@
 """Knot-theoretic inputs: Alexander polynomials and Levine-Tristram signatures.
 
-Only two pieces of knot theory feed the obstruction pipeline, both taken
-from a Seifert matrix V (square integer, V - V^T unimodular):
+Two pieces of knot theory feed the obstruction pipeline, both read from
+one integer polynomial of a Seifert matrix V (square integer, V - V^T
+unimodular): the Levine-Tristram signature of (1 - omega) V +
+(1 - conj omega) V^T at omega = zeta_a^(-b) (Levine, *Comment. Math.
+Helv.* 44, 1969), which corrects rho under the flat cobordism to a lens
+space, and the nondegeneracy of the flat connection on a/b surgery, which
+holds iff that form is nonsingular, i.e. iff the Alexander polynomial
+does not vanish at exp(2 pi i b/a).
 
-* nondegeneracy of the flat connection on a/b surgery, which holds iff
-  the Alexander polynomial does not vanish at exp(2 pi i b/a); evaluation
-  is exact, in Z[zeta_a].  The polynomial det(t V - V^T) is one integer
-  determinant: its coefficients are bounded by
-  B = prod_i sum_j (|V_ij| + |V_ji|), so det((2B + 1) V - V^T) holds them
-  as balanced base-(2B + 1) digits (Kronecker substitution);
-* the Levine-Tristram signature sigma_omega = sign((1-omega) V +
-  (1-conj omega) V^T) at omega = zeta_a^(-b), which corrects rho under the
-  flat cobordism to a lens space.
-
-The signature is computed in the ring Z[zeta_a] by division-free
-Hermitian elimination (Bareiss's fraction-free elimination, *Math. Comp.*
-22, 1968, without the exact division by the previous pivot): every entry
-stays an integer combination of powers of zeta, and a diagonal pivot p
-scales the remaining block by the real number p (a zero diagonal is first
-made 2 u conj u > 0 by a congruence with an off-diagonal entry u), so the
-signature is tracked through the signs of the pivots alone.  The sign
-of each (exactly nonzero, real) pivot is certified at adaptive precision
-from integer bounds on cos and sin (Machin's pi and the exponential
-series, with a proved error below 2 units), so no floating point
-and no third-party code is involved.  If the
-form is singular -- equivalently, omega is a root of the Alexander
-polynomial -- :class:`~gaugecert.errors.SingularPivot` is raised; that
-degenerate case must be handled by the caller, never silently signed.
+With S = V + V^T, A = V^T - V and omega = e^(i theta), the form is
+(1 - cos theta)(S + i s A), s = cot(theta/2).  The characteristic
+polynomial of S + i s A is C(lambda, i s), C(lambda, sigma) =
+det(lambda I - S - sigma A), which is even in sigma: its coefficients
+c_j are polynomials in u = s^2 = cot^2(pi b/a).  It is real-rooted, so
+Descartes' rule of signs is exact (Basu, Pollack and Roy, *Algorithms in
+Real Algebraic Geometry*, ch. 2): the signature is V(c) - V(c(-lambda)),
+V counting sign changes, and the form is singular iff c_0(u) = 0.  At
+u = X/Y, X = 2 + zeta^b + zeta^(-b), Y = 2 - zeta^b - zeta^(-b) > 0, each
+Y^g c_j(u) is an integer combination of X^k Y^(g-k) in Z[zeta_a], tested
+for zero exactly and otherwise signed at adaptive precision from integer
+bounds on cos and sin (Machin's pi and the exponential series, with a
+proved error below 2 units): no floating point and no third-party code.
+A singular form raises :class:`~gaugecert.errors.SingularPivot`, for the
+caller to handle.  :func:`alexander_from_seifert` and
+:func:`nondegenerate_at` remain public as the reference route to the
+same nondegeneracy; no report reads them.
 
 No knot diagrams are processed here; Seifert matrices are given directly
 (as JSON integer arrays in problem files) or looked up in the small
@@ -39,6 +38,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .errors import BadParameters, InternalCheckError, SingularPivot
 from .exactnum import CycloElement, _poly_div_exact, euler_phi
@@ -110,35 +110,48 @@ def alexander_torus(p: int, q: int) -> LaurentPoly:
     return LaurentPoly(tuple(enumerate(quo))).symmetrized()
 
 
+def _kronecker_det(n: int, terms: dict[int, Sequence[Sequence[int]]]) -> list[int]:
+    """Coefficients of det(sum_k x^k M_k), low to high, for n x n integer
+    matrices M_k: n p + 1 of them for p the largest power k.
+
+    One integer determinant (Kronecker substitution, von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 8.4): expanding over permutations,
+    every coefficient is at most B = prod_i sum_(j, k) |(M_k)_ij| in
+    absolute value, so the determinant at x = N = 2B + 1 holds them as its
+    balanced base-N digits.  A remainder past the last digit raises
+    :class:`InternalCheckError`.
+    """
+    bound = 1
+    for i in range(n):
+        bound *= sum(abs(M[i][j]) for M in terms.values() for j in range(n))
+    base = 2 * bound + 1
+    powers = [(base**k, M) for k, M in terms.items()]
+    value = det_int([[sum(x * M[i][j] for x, M in powers) for j in range(n)] for i in range(n)])
+    digits = []
+    for _ in range(n * max(terms) + 1):
+        digit = (value + bound) % base - bound
+        digits.append(digit)
+        value = (value - digit) // base
+    if value:
+        raise InternalCheckError("Kronecker substitution left a remainder past the last coefficient")
+    return digits
+
+
 def alexander_from_seifert(V: "SeifertMatrix") -> LaurentPoly:
     """det(t^(1/2) V - t^(-1/2) V^T), the symmetrized Alexander polynomial.
 
-    Computed as det(t V - V^T) and then recentred, by one integer
-    determinant (Kronecker substitution): expanding the determinant over
-    permutations, every coefficient of det(t V - V^T) is at most
-    B = prod_i sum_j (|V_ij| + |V_ji|) in absolute value, so the integer
-    det(N V - V^T) at N = 2B + 1 has the coefficients as its balanced
-    base-N digits.
+    Computed as det(t V - V^T), one Kronecker determinant, and then
+    recentred.
     """
-    n = V.size
-    bound = 1
-    for i in range(n):
-        bound *= sum(abs(V.rows[i][j]) + abs(V.rows[j][i]) for j in range(n))
-    base = 2 * bound + 1
-    value = det_int([[base * V.rows[i][j] - V.rows[j][i] for j in range(n)] for i in range(n)])
-    coeffs = []
-    while value:
-        digit = (value + bound) % base - bound
-        coeffs.append(digit)
-        value = (value - digit) // base
-    poly = LaurentPoly(tuple(enumerate(coeffs)))
+    vt = [[-x for x in row] for row in V.transpose()]
+    poly = LaurentPoly(tuple(enumerate(_kronecker_det(V.size, {0: vt, 1: V.rows}))))
     if poly.terms and poly.terms[-1][1] < 0:
         poly = LaurentPoly(tuple((e, -c) for e, c in poly.terms))
     return poly.symmetrized()
 
 
 #: Largest cyclotomic order a of a knotted strand: its tables grow as a^2,
-#: and rho-transfer at a = 997 on the trefoil took 0.5 s and 28 MB.
+#: and rho-transfer at a = 997 on the trefoil took 0.2 s and 24 MB (2 CPU x86_64).
 MAX_KNOT_ORDER = 1000
 
 
@@ -239,7 +252,8 @@ def _unit_circle_table(a: int, prec: int) -> tuple[tuple[int, int], ...]:
 
 
 def _certified_sign(x: CycloElement) -> int:
-    """Sign of an exactly-nonzero real element of Z[zeta_a].
+    """Sign of an exactly-nonzero real element of Z[zeta_a], such as a
+    coefficient of the characteristic polynomial at u = cot^2(pi b/a).
 
     With the table at precision prec, sum c_i u_i and sum c_i v_i lie
     within r = 2 sum |c_i| of 2^prec times the real and imaginary parts of
@@ -249,7 +263,7 @@ def _certified_sign(x: CycloElement) -> int:
     raises :class:`InternalCheckError`.
     """
     if x.is_zero():
-        raise InternalCheckError("sign of an exactly zero pivot requested")
+        raise InternalCheckError("sign of an exactly zero coefficient requested")
     r = 2 * sum(map(abs, x.coeffs))
     prec = 64
     while prec <= _MAX_SIGN_PREC:
@@ -258,70 +272,36 @@ def _certified_sign(x: CycloElement) -> int:
             re += c * u
             im += c * v
         if abs(im) >= r:
-            raise InternalCheckError("pivot is not real")
+            raise InternalCheckError("coefficient is not real")
         if abs(re) > r:
             return 1 if re > 0 else -1
         prec *= 2
     raise InternalCheckError(
-        f"sign of a nonzero pivot not separable at {_MAX_SIGN_PREC} bits of precision"
+        f"sign of a nonzero coefficient not separable at {_MAX_SIGN_PREC} bits of precision"
     )
 
 
-def _congruence_step(h: list[list[CycloElement]], i0: int, j0: int) -> list[list[CycloElement]]:
-    # P h P^* for P = I + u E_(i0 j0), u = h_(i0 j0), h_(i0 i0) = h_(j0 j0) = 0
-    u = h[i0][j0]
-    uc = u.conjugate()
-    h = [list(row) for row in h]
-    h[i0] = [x + u * y for x, y in zip(h[i0], h[j0])]
-    for row in h:
-        row[i0] = row[i0] + uc * row[j0]
-    return h
+def _sign_at(coeffs: Sequence[int], powers: Sequence[CycloElement]) -> int:
+    # sign of the real element sum_m coeffs[m] powers[m] of Z[zeta_a]: 0 when
+    # every coefficient is 0 or the sum is exactly 0, else certified
+    if not any(coeffs):
+        return 0
+    x = functools.reduce(operator.add, (p.scale(c) for c, p in zip(coeffs, powers) if c))
+    return 0 if x.is_zero() else _certified_sign(x)
 
 
-def _hermitian_signature(h: list[list[CycloElement]]) -> int:
-    """Signature of an exact Hermitian matrix over Z[zeta_a], without division.
-
-    A nonzero diagonal pivot p is real, and p times the Schur complement is
-    p h_ij - h_ip h_pj, Hermitian with integer coefficients; its signature
-    is sign(p) times that of the complement, so sig = s + s * sig(rest)
-    with s = sign(p).  If every diagonal entry is exactly zero but some
-    off-diagonal entry u = h_(i0 j0) is not, the congruence
-    e_(i0) -> e_(i0) + conj(u) e_(j0) (row i0 += u row j0, then column
-    i0 += conj(u) column j0) keeps the signature and makes
-    h_(i0 i0) = 2 u conj(u) > 0, a diagonal pivot whose sign needs no
-    certificate.  A remaining block that is identically zero means the form
-    is singular.
-    """
-    sig, sign = 0, 1  # sig(h) = sig + sign * sig(current block)
-    while h:
-        n = len(h)
-        piv = next((i for i in range(n) if not h[i][i].is_zero()), None)
-        if piv is None:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not h[i][j].is_zero()]
-            if not pairs:
-                raise SingularPivot("Hermitian form is singular (zero block)")
-            piv, j0 = pairs[0]
-            h = _congruence_step(h, piv, j0)
-            s = 1  # the pivot 2 u conj(u), u != 0, is positive by construction
-        else:
-            s = _certified_sign(h[piv][piv])
-        p = h[piv][piv]
-        sig += sign * s
-        sign *= s
-        rest = [i for i in range(n) if i != piv]
-        h = [[p * h[i][j] - h[i][piv] * h[piv][j] for j in rest] for i in rest]
-    return sig
+def _sign_changes(signs: Sequence[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(x != y for x, y in zip(nonzero, nonzero[1:]))
 
 
 def lt_signature(V: SeifertMatrix, a: int, b: int) -> int:
-    """Levine-Tristram signature of V at omega = zeta_a^(-b):
-    the signature of (1 - omega) V + (1 - conj omega) V^T.
-
-    Deterministic and exact: pivots are exact elements of Z[zeta_a] and
-    their signs are certified by adaptive-precision integer bounds.  Needs
-    2 <= a <= :data:`MAX_KNOT_ORDER`.  Raises
-    :class:`SingularPivot` when the form is singular, i.e. when omega is a
-    root of the Alexander polynomial.
+    """Levine-Tristram signature of V at omega = zeta_a^(-b): the signature
+    of (1 - omega) V + (1 - conj omega) V^T, exactly, by Descartes' rule.
+    Needs 2 <= a <= :data:`MAX_KNOT_ORDER`.  Raises :class:`SingularPivot`
+    when the form is singular (omega is a root of the Alexander
+    polynomial), and :class:`InternalCheckError` when C(lambda, sigma) is
+    not even in sigma or the root count is not n.
     """
     if a < 2:
         raise BadParameters("need a >= 2")
@@ -331,12 +311,32 @@ def lt_signature(V: SeifertMatrix, a: int, b: int) -> int:
     n = V.size
     if n == 0:
         return 0
-    one = CycloElement.from_rational(a, 1)
-    w = CycloElement.zeta(a, -b)
-    f, fc = one - w, one - w.conjugate()
     vt = V.transpose()
-    h = [
-        [f.scale(V.rows[i][j]) + fc.scale(vt[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return _hermitian_signature(h)
+    minus_s = [[-x - y for x, y in zip(row, col)] for row, col in zip(V.rows, vt)]
+    minus_a = [[x - y for x, y in zip(row, col)] for row, col in zip(V.rows, vt)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    # digit (n + 1) j + k of C(lambda, sigma) = det(lambda I - S - sigma A) is
+    # the coefficient of lambda^j sigma^k
+    digits = _kronecker_det(n, {0: minus_s, 1: minus_a, n + 1: eye})
+    rows = [digits[(n + 1) * j : (n + 1) * (j + 1)] for j in range(n + 1)]
+    if any(any(row[1::2]) for row in rows):
+        raise InternalCheckError("det(lambda I - S - sigma A) is not even in sigma")
+    # Y^g c_j(X/Y) = sum_m e_(j, 2m) (-X)^m Y^(g - m), g = n/2
+    one = CycloElement.from_rational(a, 1)
+    two_cos = CycloElement.zeta(a, b) + CycloElement.zeta(a, -b)
+    minus_x, y = -(one.scale(2) + two_cos), one.scale(2) - two_cos
+    x_pows, y_pows = [one], [one]
+    for _ in range(n // 2):
+        x_pows.append(x_pows[-1] * minus_x)
+        y_pows.append(y_pows[-1] * y)
+    powers = [p * q for p, q in zip(x_pows, reversed(y_pows))]
+    signs = [_sign_at(row[::2], powers) for row in rows]
+    if not signs[0]:
+        raise SingularPivot(f"Hermitian form at omega = zeta_{a}^(-{b}) is singular")
+    pos, neg = _sign_changes(signs), _sign_changes([s * (-1) ** j for j, s in enumerate(signs)])
+    if pos + neg != n:
+        raise InternalCheckError(
+            f"Descartes' rule counts {pos} positive and {neg} negative roots of a real-rooted "
+            f"characteristic polynomial of degree {n}"
+        )
+    return pos - neg

@@ -38,6 +38,7 @@ C(e) is a single point.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -75,7 +76,8 @@ class GramForm:
     which constructors that guarantee a symmetric integer matrix at scale 1
     use (plumbings, where re-checking every entry of a large sparse matrix
     would dominate).  The integer matrix scale * gram is kept as ``rows``;
-    all arithmetic on the form reads it.
+    all arithmetic on the form reads it.  Whether ``rows`` is tridiagonal,
+    and then its leading minors, are found once per form.
     """
 
     rank: int
@@ -109,6 +111,14 @@ class GramForm:
         """The pairing x . y."""
         return Fraction(_pair(self.rows, x, y), self.scale)
 
+    @functools.cached_property
+    def _tridiagonal_minors(self) -> list[int] | None:
+        # leading minors of a tridiagonal ``rows`` by the continuant recurrence, else None
+        rows = self.rows
+        if not _is_tridiagonal(rows):
+            return None
+        return continuants([row[k] for k, row in enumerate(rows)], [rows[k][k - 1] for k in range(1, len(rows))])
+
 
 def _pair(rows, x, y) -> int:
     # x . (rows y) for integer vectors
@@ -123,17 +133,13 @@ def _is_tridiagonal(g) -> bool:
     )
 
 
-def _tridiag_leading_minors(rows) -> list[int]:
-    return continuants([row[k] for k, row in enumerate(rows)], [rows[k][k - 1] for k in range(1, len(rows))])
-
-
 def is_negative_definite(G: GramForm) -> bool:
     """Exact leading-principal-minor test on the integer matrix scale *
     gram: the k-th minor must have sign (-1)^k for every k; rank deficiency
     (a zero minor) is rejected."""
     if G.rank == 0:
         return True
-    minors = _tridiag_leading_minors(G.rows) if _is_tridiagonal(G.rows) else bareiss_leading_minors(G.rows)
+    minors = G._tridiagonal_minors or bareiss_leading_minors(G.rows)
     return all((m < 0) if k % 2 else (m > 0) for k, m in enumerate(minors, start=1))
 
 
@@ -141,7 +147,8 @@ def gram_determinant(G: GramForm) -> Fraction:
     """Exact determinant of the gram matrix."""
     if G.rank == 0:
         return Fraction(1)
-    det = _tridiag_leading_minors(G.rows)[-1] if _is_tridiagonal(G.rows) else det_int(G.rows)
+    minors = G._tridiagonal_minors
+    det = det_int(G.rows) if minors is None else minors[-1]
     return Fraction(det, G.scale**G.rank)
 
 

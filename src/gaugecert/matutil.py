@@ -4,7 +4,8 @@ Every exact determinant in the package comes from the one fraction-free
 elimination here: leading minors for definiteness, determinants of
 integer lattices, the diagonal of an inverse form (as ratios of minors),
 the integer rows that drive the C(e) enumeration and, by Kronecker
-substitution, the Alexander polynomial.
+substitution, the Alexander polynomial and the characteristic polynomial
+of the Levine-Tristram signatures.
 """
 
 from __future__ import annotations

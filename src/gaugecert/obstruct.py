@@ -28,15 +28,18 @@ transferred from the lens space L(a, b mod a):
     rho_i = -( rho(L(a, b), l = -b mod a) + sigma(a, b) + sigma(a, a-b) ),
 
 where the sigmas are Levine-Tristram signatures of the strand knot (zero
-for unknots).  For unknotted strands this equals rho(L(a, -b mod a)) at
-the meridian holonomy, which reproduces the Seifert index formula; the
-cross-check Ind+ = R + sum of signatures is made on every run.  Each
+for unknots); the two are equal, so sigma(a, b) is computed and doubled.
+For unknotted strands this equals rho(L(a, -b mod a)) at the meridian
+holonomy, which reproduces the Seifert index formula; the cross-check
+Ind+ = R + sum of signatures is made on every run.  Each
 strand's cotangent sum is computed once, in the transfer: Ind+ minus the
 signature sum is R's trigonometric form term by term, and it is compared
 with R's closed form 2n - 3 - 2 sum K_i, so a wrong sum raises an "index
 transfer mismatch" :class:`InternalCheckError` (exit status 3).  Each
-knotted strand's Alexander polynomial and its two signatures are computed
-once, and the transfer and the cross-check both read them.
+knotted strand's signature is computed once: its Hermitian form is
+singular exactly where the Alexander polynomial vanishes, so whether the
+signature raised :class:`SingularPivot` is the strand's nondegeneracy
+line, and the transfer and the cross-check both read the signature.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .cstau import (
 )
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
 from .index import BoundaryTerm, IndexInputs, ind_plus_general, ind_plus_seifert_qhs, index_closed_form
-from .knots import KNOT_CATALOG, SeifertMatrix, alexander_from_seifert, lt_signature, nondegenerate_at
+from .knots import KNOT_CATALOG, SeifertMatrix, lt_signature
 from .lattice import CeProblem, GramForm, Restriction, detect_orthogonal_split, enumerate_C_e, sfqhs_reducible_count
 from .lens import LensSpace, rho_lens
 from .seifert import SeifertData, check_h1_z2, d_invariant, meridian_holonomy, torus_knot_surgery
@@ -207,27 +210,24 @@ def rho_transfer_surgery(L: LensSpace, V: SeifertMatrix) -> Fraction:
     :class:`Degenerate` when the flat connection is degenerate, i.e. when
     the Alexander polynomial vanishes at the holonomy root of unity.
     """
-    nondeg = not V.size or nondegenerate_at(alexander_from_seifert(V), L.a, L.b)
-    return _transfer(L, _signature_pair(V, L.a, L.b, nondeg))
+    return _transfer(L, _signature(V, L.a, L.b))
 
 
-def _signature_pair(V: SeifertMatrix, a: int, b: int, nondegenerate: bool) -> tuple[int, int]:
-    # (sigma(a, b), sigma(a, a - b)), both 0 for the unknot; raises
-    # Degenerate when the flat connection at exp(2 pi i b/a) is degenerate
+def _signature(V: SeifertMatrix, a: int, b: int) -> int:
+    # sigma(a, b) = sigma(a, a - b), 0 for the unknot; the form is singular
+    # exactly when the Alexander polynomial vanishes at exp(2 pi i b/a)
     if not V.size:
-        return 0, 0
-    if not nondegenerate:
+        return 0
+    try:
+        return lt_signature(V, a, b)
+    except SingularPivot as exc:
         raise Degenerate(
             f"Alexander polynomial vanishes at exp(2 pi i {b}/{a}); flat connection degenerate"
-        )
-    try:
-        return lt_signature(V, a, b), lt_signature(V, a, a - b)
-    except SingularPivot as exc:
-        raise Degenerate(str(exc)) from exc
+        ) from exc
 
 
-def _transfer(L: LensSpace, sigmas: tuple[int, int]) -> Fraction:
-    return rho_lens(L, meridian_holonomy(L.a, L.b)) + sum(sigmas)
+def _transfer(L: LensSpace, sigma: int) -> Fraction:
+    return rho_lens(L, meridian_holonomy(L.a, L.b)) + 2 * sigma
 
 
 def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> TauBound | None:
@@ -318,53 +318,36 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     if not ok:
         return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
 
-    # nondegeneracy, strand by strand; each knotted strand's Alexander
-    # polynomial is computed and evaluated once
-    nondeg = []
+    # nondegeneracy and signature, strand by strand: a knotted strand is
+    # degenerate exactly when its signature raises
+    sigmas, degenerate = [], None
     for s in strands:
+        ok_s = True
+        try:
+            sigmas.append(_signature(s.seifert_matrix, s.a, s.b % s.a))
+        except Degenerate as exc:
+            degenerate, ok_s = degenerate or exc, False
         if s.knotted:
-            ok_s = nondegenerate_at(alexander_from_seifert(s.seifert_matrix), s.a, s.b % s.a)
-            lines.add(
-                f"nondegenerate({s.knot} at {s.a}/{s.b})",
-                f"Alexander polynomial nonzero at exp(2 pi i {s.b % s.a}/{s.a})",
-                ok_s,
-                ok_s,
-            )
+            name = f"nondegenerate({s.knot} at {s.a}/{s.b})"
+            formula = f"Alexander polynomial nonzero at exp(2 pi i {s.b % s.a}/{s.a})"
         else:
-            ok_s = True
-            lines.add(
-                f"nondegenerate(lens strand {s.a}/{s.b})",
-                "lens space flat connections are nondegenerate",
-                True,
-                True,
-            )
-        nondeg.append(ok_s)
+            name, formula = f"nondegenerate(lens strand {s.a}/{s.b})", "lens space flat connections are nondegenerate"
+        lines.add(name, formula, ok_s, ok_s)
+    if degenerate is not None:
+        lines.add("rho transfer", "rho via flat cobordism to the lens space", str(degenerate), False)
+        return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
 
     # index, via the signature-corrected transfer, cross-checked against R's
     # closed form; Ind+ minus the signature sum is R's trigonometric form
-    # term by term, so each strand's cotangent sum (in rho_lens) and its
-    # signatures are computed once
-    try:
-        sigmas = [
-            _signature_pair(s.seifert_matrix, s.a, s.b % s.a, ok_s) for s, ok_s in zip(strands, nondeg)
-        ]
-    except Degenerate as exc:
-        lines.add("rho transfer", "rho via flat cobordism to the lens space", str(exc), False)
-        return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
-    # rho of each boundary piece in the d > 0 orientation
-    rhos = [-_transfer(LensSpace(s.a, s.b), pair) for s, pair in zip(strands, sigmas)]
+    # term by term, so each strand's cotangent sum (in rho_lens) is computed
+    # once.  rho of each boundary piece in the d > 0 orientation:
+    rhos = [-_transfer(LensSpace(s.a, s.b), sig) for s, sig in zip(strands, sigmas)]
     p1 = Fraction(d, a)
     ind = ind_plus_general(IndexInputs(p1, tuple(BoundaryTerm(1, rho) for rho in rhos)))
     r_value = index_closed_form(S)
     # each knotted strand shifts the index by its Levine-Tristram signature:
     # rho_i = -(rho_lens + 2 sigma_i) enters with weight -1/2
-    sig_sum = 0
-    for s, (sig, sig_conj) in zip(strands, sigmas):
-        if sig != sig_conj:
-            raise InternalCheckError(
-                f"signature of knot {s.knot} at {s.b % s.a}/{s.a} breaks conjugation symmetry"
-            )
-        sig_sum += sig
+    sig_sum = sum(sigmas)
     if ind != r_value + sig_sum:
         raise InternalCheckError(
             f"index transfer mismatch: Ind+ = {ind}, R = {r_value}, signature sum {sig_sum}"

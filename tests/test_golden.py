@@ -7,10 +7,11 @@ README examples and the transfers at a = 61 and a = 31 before the cos/sin
 table of the pivot signs was built from integers alone; the rank-6 C(e)
 report before the enumeration searched one sign per class; the remaining
 README examples and the Inconclusive Sigma(2,3,7) report before the C(e)
-class map was made one pass.  Each
-output must stay byte identical; the call counts pin that each knotted
-strand's Alexander polynomial and signatures, and each strand's cotangent
-sum, are computed once."""
+class map was made one pass; the degenerate genus-2 and the genus-3
+surgery configurations before the signatures were read from one integer
+polynomial.  Each output must stay byte identical; the call counts pin
+that each knotted strand's signature, which also decides its
+nondegeneracy, and each strand's cotangent sum are computed once."""
 
 import json
 from pathlib import Path
@@ -24,9 +25,18 @@ import gaugecert.obstruct as obstruct
 from gaugecert import SeifertData
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = ("figure8_obstructed", "genus2_inconclusive", "trefoil_degenerate")
+CASES = (
+    "figure8_obstructed",
+    "genus2_inconclusive",
+    "trefoil_degenerate",
+    # the (2,5) torus knot at a = 10: its Alexander polynomial is Phi_10
+    "genus2_degenerate",
+    # a genus-3 knotted strand, nondegenerate at 5/-1
+    "genus3_nondegenerate",
+)
 GENUS2 = "[[-2,1,0,0],[0,-1,0,1],[0,0,-1,1],[0,1,0,-2]]"
-# its pivot signs at a = 31 need 256 bits, so they go through the precision doubling
+# a genus-4 transfer at a = 31; its signs are certified at the first precision, and
+# test_knots.py drives the precision doubling directly
 GENUS4 = (
     "[[2,1,0,2,-2,1,-1,-2],[0,-1,-2,0,1,-1,1,2],[0,-2,-2,3,-1,-2,-1,1],[2,0,2,0,-1,1,-1,-2],"
     "[-2,1,-1,-1,-1,3,2,1],[1,-1,-2,1,2,-1,-1,-2],[-1,1,-1,-1,2,-1,-2,0],[-2,2,1,-2,1,-2,-1,-1]]"
@@ -66,7 +76,7 @@ REPORTS = [
     pytest.param(["c-e", "ce_readme.problem.json"], "ce_readme.report.json", id="c-e-readme"),
     # Sigma(2,3,7): Ind+ = R = -1 < 0, so the parity theorem does not apply
     pytest.param(["check-fs", "2,1", "3,-1", "7,-1"], "fs_2_3_7.report.json", id="fs-2-3-7"),
-    # knotted transfers whose pivot signs read the cos/sin table beyond a = 3
+    # knotted transfers whose signs read the cos/sin table beyond a = 3
     pytest.param(["rho-transfer", "61", "20", "--knot", "trefoil"], "rho_transfer_61_20_trefoil.report.json",
                  id="rho-transfer-61-20-trefoil"),
     pytest.param(["rho-transfer", "31", "7", "--seifert-matrix", GENUS4], "rho_transfer_31_7_genus4.report.json",
@@ -91,12 +101,14 @@ def test_degenerate_report_lines():
 @pytest.mark.parametrize(
     "name, expected",
     [
-        ("figure8_obstructed", {"lt_signature": 2, "alexander_from_seifert": 1, "nondegenerate_at": 1}),
-        ("genus2_inconclusive", {"lt_signature": 2, "alexander_from_seifert": 1, "nondegenerate_at": 1}),
-        ("trefoil_degenerate", {"lt_signature": 0, "alexander_from_seifert": 1, "nondegenerate_at": 1}),
+        ("figure8_obstructed", {"lt_signature": 1}),
+        ("genus2_inconclusive", {"lt_signature": 1}),
+        # the one call raises: the strand is degenerate
+        ("trefoil_degenerate", {"lt_signature": 1}),
     ],
 )
 def test_knotted_strand_call_counts(monkeypatch, name, expected):
+    # one signature per knotted strand, which also decides its nondegeneracy line
     calls = dict.fromkeys(expected, 0)
 
     def counting(fname, fn):
@@ -110,6 +122,7 @@ def test_knotted_strand_call_counts(monkeypatch, name, expected):
         monkeypatch.setattr(obstruct, fname, counting(fname, getattr(obstruct, fname)))
     obstruct.run_problem(json.loads((GOLDEN / f"{name}.problem.json").read_text(encoding="utf-8")))
     assert calls == expected
+    assert not hasattr(obstruct, "alexander_from_seifert") and not hasattr(obstruct, "nondegenerate_at")
 
 
 def _fs_2_3_5():

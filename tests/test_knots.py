@@ -2,6 +2,7 @@
 Levine-Tristram signatures."""
 
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd
@@ -160,17 +161,44 @@ def test_singular_pivot():
         lt_signature(KNOT_CATALOG["trefoil"], 5, 5)
 
 
-def _random_seifert_matrix(rng, genus, zero_diagonal=False):
+def _random_seifert_matrix(rng, genus, zero_diagonal=False, magnitude=2):
     # V = S + U0 with S symmetric and U0 carrying 1s at (2i, 2i+1), so
     # V - V^T is the standard symplectic form
     n = 2 * genus
     S = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1 if zero_diagonal else i, n):
-            S[i][j] = S[j][i] = rng.randint(-2, 2)
+            S[i][j] = S[j][i] = rng.randint(-magnitude, magnitude)
     for g in range(genus):
         S[2 * g][2 * g + 1] += 1
     return SeifertMatrix(tuple(tuple(row) for row in S))
+
+
+def _coprime_points(a_lo, a_hi):
+    return [(a, b) for a in range(a_lo, a_hi + 1) for b in range(1, a) if gcd(a, b) == 1]
+
+
+def test_singular_exactly_where_alexander_vanishes():
+    # the Hermitian form at omega = zeta_a^(-b) is singular iff the Alexander
+    # polynomial, the reference route, vanishes at exp(2 pi i b/a); entries
+    # in [-1, 1] make cyclotomic factors, and so degenerate points, common
+    cases = [(V, a, b) for V in KNOT_CATALOG.values() for a, b in _coprime_points(2, 39)]
+    rng = random.Random(1969)
+    points = _coprime_points(2, 12)
+    for _ in range(300):
+        V = _random_seifert_matrix(rng, rng.randint(1, 3), rng.random() < 0.5, magnitude=1)
+        cases += [(V, a, b) for a, b in points]
+    degenerate = 0
+    for V, a, b in cases:
+        nondeg = nondegenerate_at(alexander_from_seifert(V), a, b)
+        try:
+            lt_signature(V, a, b)
+            singular = False
+        except SingularPivot:
+            singular = True
+        assert singular != nondeg, (V.rows, a, b)
+        degenerate += singular
+    assert degenerate >= 20
 
 
 _EIG = mpmath.MPContext()
@@ -194,7 +222,7 @@ def _random_point(rng, a_max):
 
 
 def test_lt_signature_against_eigenvalue_oracle():
-    # numeric cross-check of the exact Hermitian elimination
+    # numeric cross-check of the exact signs and Descartes' rule
     rng = random.Random(41)
     for _ in range(40):
         V = _random_seifert_matrix(rng, rng.randint(1, 3))
@@ -213,32 +241,54 @@ def _negative_first_pivot(rng):
     return SeifertMatrix(tuple(map(tuple, rows)))
 
 
+def _connected_sum(rng):
+    # V_1 + ... + V_k block diagonal, genus-1 blocks with entries in [-1, 1]:
+    # C is the product of the blocks' quadratics, and at a <= 6, where
+    # u = cot^2(pi b/a) is rational, a coefficient that is not identically
+    # zero sometimes vanishes exactly
+    blocks = [_random_seifert_matrix(rng, 1, magnitude=1).rows for _ in range(rng.randint(2, 3))]
+    n = 2 * len(blocks)
+    rows = [[0] * n for _ in range(n)]
+    for k, block in enumerate(blocks):
+        for i in range(2):
+            rows[2 * k + i][2 * k : 2 * k + 2] = block[i]
+    return SeifertMatrix(tuple(map(tuple, rows)))
+
+
+BRANCHES = ("identically zero", "exact zero", "certified")
+
+
 @pytest.mark.parametrize(
-    "case, count, make, a_max",
+    "case, count, make, a_max, branch",
     [
-        # all h_ii = V_ii |1 - omega|^2 vanish: the congruence step at the top
-        ("zero diagonal", 150, lambda rng: _random_seifert_matrix(rng, rng.randint(2, 3), True), 30),
-        ("negative first pivot", 40, _negative_first_pivot, 30),
-        ("genus 4", 15, lambda rng: _random_seifert_matrix(rng, 4), 61),
+        # h_ii = V_ii |1 - omega|^2 all vanish, so trace S = 0 and the
+        # coefficient of lambda^(n - 1) is identically zero
+        ("zero diagonal", 150, lambda rng: _random_seifert_matrix(rng, rng.randint(2, 3), True), 30, BRANCHES[0]),
+        ("negative first pivot", 40, _negative_first_pivot, 30, BRANCHES[2]),
+        ("genus 4", 15, lambda rng: _random_seifert_matrix(rng, 4), 61, BRANCHES[2]),
+        ("connected sum", 80, _connected_sum, 6, BRANCHES[1]),
     ],
-    ids=["zero-diagonal", "negative-first-pivot", "genus-4"],
+    ids=["zero-diagonal", "negative-first-pivot", "genus-4", "connected-sum"],
 )
-def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, count, make, a_max):
-    # each elimination branch, checked against mpmath eigenvalues; the
-    # pivot signs and the congruence steps are recorded to show which branch ran
-    signs, steps = [], []
-    certify, congruence = knots._certified_sign, knots._congruence_step
+def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, count, make, a_max, branch):
+    # each branch of a coefficient's sign, checked against mpmath
+    # eigenvalues: a coefficient c_j that is identically zero, one that is
+    # not but vanishes exactly at u = cot^2(pi b/a), and a certified sign;
+    # each family must take its branch at least once
+    signs, branches = [], []
+    certify, sign_at = knots._certified_sign, knots._sign_at
 
     def spy(x):
         signs.append(certify(x))
         return signs[-1]
 
-    def step_spy(h, i0, j0):
-        steps.append((i0, j0))
-        return congruence(h, i0, j0)
+    def branch_spy(coeffs, powers):
+        sign = sign_at(coeffs, powers)
+        branches.append(BRANCHES[0] if not any(coeffs) else BRANCHES[1] if not sign else BRANCHES[2])
+        return sign
 
     monkeypatch.setattr(knots, "_certified_sign", spy)
-    monkeypatch.setattr(knots, "_congruence_step", step_spy)
+    monkeypatch.setattr(knots, "_sign_at", branch_spy)
     rng = random.Random(47)
     taken = compared = 0
     for _ in range(count):
@@ -248,18 +298,14 @@ def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, coun
         if expected is None:
             continue
         signs.clear()
-        steps.clear()
+        branches.clear()
         assert lt_signature(V, a, b) == expected, (case, V.rows, a, b)
         compared += 1
-        # every row is eliminated by one diagonal pivot: its sign is certified, or, after a
-        # congruence step, positive by construction and not certified
-        assert len(signs) + len(steps) == V.size
-        if case == "zero diagonal":
-            taken += bool(steps)
-        elif case == "negative first pivot":
-            taken += signs[0] == -1
-        else:
-            taken += V.size == 8
+        # each of the n + 1 coefficients takes one branch, and only a
+        # certified one reads the cos/sin table
+        assert len(branches) == V.size + 1
+        assert branches.count(BRANCHES[2]) == len(signs)
+        taken += branch in branches
     assert compared >= count // 2
     assert taken >= 1
 
@@ -279,6 +325,25 @@ def test_unit_circle_table_against_mpmath():
             assert abs(v - ref.ldexp(ref.sin(angle), prec)) < 2, (a, prec, i)
 
 
+def test_certified_sign_doubles_the_precision(monkeypatch):
+    # F_k (zeta_5 + zeta_5^-1) - F_(k-1) = F_k (sqrt 5 - 1)/2 - F_(k-1) has
+    # coefficients near F_k but a value near 1/F_k, so its sign needs about
+    # 2 log2 F_k bits: the precision doubles past 64
+    precs = []
+    table = knots._unit_circle_table
+    monkeypatch.setattr(knots, "_unit_circle_table", lambda a, prec: precs.append(prec) or table(a, prec))
+    golden = CycloElement.zeta(5, 1) + CycloElement.zeta(5, -1)
+    fib = [0, 1]
+    while len(fib) < 200:
+        fib.append(fib[-1] + fib[-2])
+    for k in (10, 60, 120, 199):
+        x = golden.scale(fib[k]) - CycloElement.from_rational(5, fib[k - 1])
+        # sign of F_k sqrt 5 - (2 F_(k-1) + F_k), compared in integers
+        expected = 1 if 5 * fib[k] ** 2 > (2 * fib[k - 1] + fib[k]) ** 2 else -1
+        assert knots._certified_sign(x) == expected == (-1) ** (k + 1)
+    assert max(precs) == 512
+
+
 def test_certified_sign_checks(monkeypatch):
     # the checks raise InternalCheckError rather than assert, so they hold under -O
     real = CycloElement.zeta(7, 1) + CycloElement.zeta(7, -1)
@@ -292,6 +357,34 @@ def test_certified_sign_checks(monkeypatch):
         knots._certified_sign(real)
     with pytest.raises(InternalCheckError):
         lt_signature(KNOT_CATALOG["trefoil"], 5, 1)
+
+
+def _run_optimized(code: str) -> str:
+    # python -O strips asserts, so what such a run prints holds without them
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_polynomial_checks_under_O():
+    # digits (n + 1) j + k of the trefoil's C(lambda, sigma), n = 2: lambda^2 + 1
+    # has no real root, so Descartes' rule counts no root of the degree-2
+    # polynomial; a digit at an odd power of sigma breaks the evenness of C
+    out = _run_optimized(
+        "import gaugecert.knots as knots\n"
+        "from gaugecert import InternalCheckError, Strand, check_surgery_config\n"
+        "strands = (Strand(2, 1), Strand(3, 1), Strand(7, -6, knot='trefoil'))\n"
+        "for digits in ([1, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 1]):\n"
+        "    knots._kronecker_det = lambda n, terms: digits\n"
+        "    try:\n"
+        "        check_surgery_config(strands)\n"
+        "    except InternalCheckError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert out.splitlines() == [
+        "Descartes' rule counts 0 positive and 0 negative roots of a real-rooted characteristic polynomial of degree 2",
+        "det(lambda I - S - sigma A) is not even in sigma",
+    ]
 
 
 def test_sign_certification_leaves_mpmath_state():

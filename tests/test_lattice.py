@@ -40,6 +40,23 @@ def test_definiteness():
     assert is_negative_definite(GramForm(0, ()))
 
 
+def test_plumbing_form_scanned_once(monkeypatch):
+    # definiteness and the determinant read one tridiagonality scan per form
+    import gaugecert.lattice as lattice
+
+    calls = []
+    scan = lattice._is_tridiagonal
+    monkeypatch.setattr(lattice, "_is_tridiagonal", lambda rows: calls.append(rows) or scan(rows))
+    pairs = [(a, b) for a in range(2, 40) for b in range(1, a) if gcd(a, b) == 1]
+    for a, b in pairs:
+        G = plumbing_gram(hj_expand(a, b))
+        assert is_negative_definite(G) and abs(gram_determinant(G)) == a
+    assert len(calls) == len(pairs)
+    dense = GramForm(3, ((-2, 1, 1), (1, -2, 0), (1, 0, -2)))
+    assert is_negative_definite(dense) and gram_determinant(dense) == -4
+    assert len(calls) == len(pairs) + 1
+
+
 def test_gram_validation():
     with pytest.raises(BadParameters):
         GramForm(2, ((0, 1), (2, 0)))

@@ -93,13 +93,15 @@ def test_surgery_config_figure8():
     assert any("denominator 24" in note for note in r.provenance)
 
 
-def test_surgery_config_conjugation_check(monkeypatch):
-    # a signature that differs at conjugate holonomies is an internal failure
-    import gaugecert.obstruct as obstruct
+def test_surgery_config_descartes_count_check(monkeypatch):
+    # the trefoil's C(lambda, sigma) replaced by lambda^2 + 1 (digit (n + 1) j + k
+    # holds the coefficient of lambda^j sigma^k, n = 2): a characteristic
+    # polynomial with no real root is an internal failure, not a signature
+    import gaugecert.knots as knots
 
-    monkeypatch.setattr(obstruct, "lt_signature", lambda V, a, b: b)
-    strands = (Strand(2, 1), Strand(3, -1, knot="figure8"), Strand(11, -2))
-    with pytest.raises(InternalCheckError, match="conjugation symmetry"):
+    monkeypatch.setattr(knots, "_kronecker_det", lambda n, terms: [1, 0, 0, 0, 0, 0, 1])
+    strands = (Strand(2, 1), Strand(3, 1), Strand(7, -6, knot="trefoil"))
+    with pytest.raises(InternalCheckError, match="Descartes' rule counts 0 positive and 0 negative"):
         check_surgery_config(strands)
 
 
