@@ -39,7 +39,6 @@ from .exactnum import (
     CycloElement,
     HJExpansion,
     cot_cot_sin2_sum,
-    crt_solve,
     cyclotomic_poly,
     hj_expand,
 )
@@ -56,7 +55,6 @@ from .knots import (
     LaurentPoly,
     SeifertMatrix,
     alexander_from_seifert,
-    alexander_torus,
     lt_signature,
     nondegenerate_at,
 )

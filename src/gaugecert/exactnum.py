@@ -15,8 +15,6 @@ On top of that this module provides:
   in O(log a) integer steps, by finite Fourier duality with a sawtooth
   convolution and a Euclid-style floor-sum recursion
   (:func:`cot_cot_sin2_sum`);
-* a deterministic solver for  (a_1...a_n) * sum_i b_i/a_i = d  with
-  pairwise coprime moduli (:func:`crt_solve`);
 * Hirzebruch-Jung (minus-sign) continued fractions (:func:`hj_expand`).
 
 The independent oracles for the cotangent sums (the direct O(a) sawtooth
@@ -42,7 +40,6 @@ __all__ = [
     "CycloElement",
     "HJExpansion",
     "cot_cot_sin2_sum",
-    "crt_solve",
     "cyclotomic_poly",
     "euler_phi",
     "hj_expand",
@@ -373,56 +370,6 @@ def cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
     if e_l != _sawtooth_convolution(a, c, a - l):
         raise InternalCheckError(f"sawtooth convolution not even at a = {a}, b = {b}, l = {l}")
     return Fraction(e_l - _sawtooth_convolution(a, c, 0), 2 * a)
-
-
-# ---------------------------------------------------------------------------
-# coefficient solving:  (a_1...a_n) sum_i b_i/a_i = d
-# ---------------------------------------------------------------------------
-
-def crt_solve(moduli: Sequence[int], target: int = 1) -> tuple[int, ...]:
-    """Integers b_i with gcd(b_i, a_i) = 1 and (a_1...a_n) sum b_i/a_i = d.
-
-    Reducing the defining identity mod a_i forces b_i mod a_i; we take the
-    representative in (0, a_i) for i < n and solve exactly for the last
-    coefficient, so the output is deterministic.  Requires the moduli to be
-    pairwise coprime and gcd(d, a_1...a_n) = 1.
-    """
-    moduli = tuple(int(m) for m in moduli)
-    if not moduli:
-        raise NoSolution("at least one modulus is required")
-    if any(m < 1 for m in moduli):
-        raise NoSolution("moduli must be positive")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if gcd(moduli[i], moduli[j]) != 1:
-                raise NoSolution(f"moduli {moduli[i]} and {moduli[j]} are not coprime")
-    a = 1
-    for m in moduli:
-        a *= m
-    d = int(target)
-    if gcd(d, a) != 1:
-        raise NoSolution(f"target {d} is not coprime to product {a}")
-    out: list[int] = []
-    partial = 0  # sum of b_i * (a / a_i) so far
-    for i, m in enumerate(moduli[:-1]):
-        cof = a // m
-        if m == 1:
-            b = 0
-        else:
-            b = (d * inverse_mod(cof % m, m)) % m
-            if not 0 < b < m:
-                raise InternalCheckError(f"coefficient {b} for modulus {m} is not in (0, {m})")
-        out.append(b)
-        partial += b * cof
-    last = moduli[-1]
-    cof = a // last
-    num = d - partial
-    if num % cof:
-        raise InternalCheckError(f"last coefficient {num}/{cof} is not an integer")
-    out.append(num // cof)
-    if gcd(out[-1], last) != 1:
-        raise InternalCheckError(f"last coefficient {out[-1]} is not coprime to modulus {last}")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,19 @@ c_j are polynomials in u = s^2 = cot^2(pi b/a).  It is real-rooted, so
 Descartes' rule of signs is exact (Basu, Pollack and Roy, *Algorithms in
 Real Algebraic Geometry*, ch. 2): the signature is V(c) - V(c(-lambda)),
 V counting sign changes, and the form is singular iff c_0(u) = 0.  At
-u = X/Y, X = 2 + zeta^b + zeta^(-b), Y = 2 - zeta^b - zeta^(-b) > 0, each
-Y^g c_j(u) is an integer combination of X^k Y^(g-k) in Z[zeta_a], tested
-for zero exactly and otherwise signed at adaptive precision from integer
-bounds on cos and sin (Machin's pi and the exponential series, with a
-proved error below 2 units): no floating point and no third-party code.
-A singular form raises :class:`~gaugecert.errors.SingularPivot`, for the
-caller to handle.  :func:`alexander_from_seifert` and
-:func:`nondegenerate_at` remain public as the reference route to the
-same nondegeneracy; no report reads them.
+u = X/Y, X = 2 + t, Y = 2 - t > 0 for the real number t = 2 cos(2 pi b/a),
+each Y^g c_j(u) is an integer polynomial P_j(t) of degree at most the
+genus g.  With a/b in lowest terms, t has degree phi(a)/2 over Q, so a
+nonzero P_j can vanish at t only when g >= phi(a)/2, and then exactly
+when the minimal polynomial Psi_a of t divides it.  Otherwise P_j(t) is
+signed at adaptive precision from one integer cosine (Machin's pi and
+the exponential series, with a proved error below 2 units) and an
+explicit bound on the Horner error: no floating point, no Z[zeta_a]
+arithmetic and no third-party code.  A singular form raises
+:class:`~gaugecert.errors.SingularPivot`, for the caller to handle.
+:func:`alexander_from_seifert`, :func:`nondegenerate_at` and
+:func:`evaluate_at_root` remain public as the reference route to the
+same nondegeneracy, in Z[zeta_a]; no report reads them.
 
 No knot diagrams are processed here; Seifert matrices are given directly
 (as JSON integer arrays in problem files) or looked up in the small
@@ -41,7 +45,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import BadParameters, InternalCheckError, SingularPivot
-from .exactnum import CycloElement, _poly_div_exact, euler_phi
+from .exactnum import CycloElement, cyclotomic_poly, euler_phi
 from .matutil import det_int
 
 __all__ = [
@@ -49,7 +53,6 @@ __all__ = [
     "LaurentPoly",
     "SeifertMatrix",
     "alexander_from_seifert",
-    "alexander_torus",
     "evaluate_at_root",
     "lt_signature",
     "nondegenerate_at",
@@ -77,9 +80,6 @@ class LaurentPoly:
             raise BadParameters("repeated exponents")
         object.__setattr__(self, "terms", clean)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def shift(self, k: int) -> "LaurentPoly":
         return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
 
@@ -96,18 +96,6 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*t^{e}" for e, c in self.terms)
-
-
-def alexander_torus(p: int, q: int) -> LaurentPoly:
-    """Alexander polynomial (t^pq - 1)(t - 1)/((t^p - 1)(t^q - 1)) of the
-    (p, q) torus knot, by exact division, normalized symmetric about t^0."""
-    if p < 2 or q < 2 or gcd(p, q) != 1:
-        raise BadParameters("need coprime p, q >= 2")
-    quo = [0] * (p * q + 2)  # (t^pq - 1)(t - 1), low to high
-    quo[0], quo[1], quo[p * q], quo[p * q + 1] = 1, -1, -1, 1
-    for m in (p, q):
-        quo = _poly_div_exact(quo, [-1] + [0] * (m - 1) + [1])  # by t^m - 1
-    return LaurentPoly(tuple(enumerate(quo))).symmetrized()
 
 
 def _kronecker_det(n: int, terms: dict[int, Sequence[Sequence[int]]]) -> list[int]:
@@ -150,9 +138,15 @@ def alexander_from_seifert(V: "SeifertMatrix") -> LaurentPoly:
     return poly.symmetrized()
 
 
-#: Largest cyclotomic order a of a knotted strand: its tables grow as a^2,
-#: and rho-transfer at a = 997 on the trefoil took 0.2 s and 24 MB (2 CPU x86_64).
+#: Largest cyclotomic order a of a knotted strand.  A signature reads one
+#: cosine, so rho-transfer at a = 997 on the trefoil took 0.13 s and 17 MB,
+#: as long as the CLI's start (2 CPU x86_64); the limit bounds the Z[zeta_a]
+#: arithmetic of the reference route, whose tables grow as a^2.
 MAX_KNOT_ORDER = 1000
+
+#: Largest size 2g of a Seifert matrix.  A signature's Kronecker determinant
+#: grows about threefold per genus: genus 10 took about 2 s (2 CPU x86_64).
+MAX_SEIFERT_SIZE = 20
 
 
 def _check_order(a: int) -> None:
@@ -184,7 +178,8 @@ def nondegenerate_at(poly: LaurentPoly, a: int, b: int) -> bool:
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Square integer matrix V with det(V - V^T) = 1 (the intersection
-    pairing condition; forces even size).  The empty matrix is the unknot."""
+    pairing condition; forces even size), of size at most
+    :data:`MAX_SEIFERT_SIZE`.  The empty matrix is the unknot."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -193,6 +188,8 @@ class SeifertMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise BadParameters("Seifert matrix must be square")
+        if n > MAX_SEIFERT_SIZE:
+            raise BadParameters(f"Seifert matrix of size {n} exceeds the limit {MAX_SEIFERT_SIZE}")
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         if det_int(skew) != 1:
             raise BadParameters("V - V^T must be unimodular (skew, determinant 1)")
@@ -217,18 +214,19 @@ KNOT_CATALOG: dict[str, SeifertMatrix] = {
 _MAX_SIGN_PREC = 1 << 14
 
 
-@functools.lru_cache(maxsize=256)
-def _unit_circle_table(a: int, prec: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (u_i, v_i), i < phi(a), each within 2 of 2^prec (cos, sin)(2 pi i/a).
+@functools.lru_cache(maxsize=1024)
+def _cos_scaled(a: int, b: int, prec: int) -> int:
+    """An integer within 2 of 2^prec cos(2 pi b/a).
 
     Integers only, at w = prec + 32 bits: pi = 16 atan(1/5) - 4 atan(1/239)
-    (Machin) by the alternating series, then exp(i t) by its series at
-    t = 2 pi min(i, a - i)/a in [0, pi] (sin flips sign when 2i > a).  In
-    units of 2^-w, each floor and each truncated tail is off by less than 1,
-    so pi is off by less than 4w + 40 and t by less than 4w + 41; exp sums
-    fewer than w terms, and an error in t or in one term moves the sum by at
-    most e^pi < 2^5 times as much: in all below 2^5 (5w + 42) < 2^31 while
-    prec <= _MAX_SIGN_PREC.  The shift down by 32 bits leaves less than 3/2.
+    (Machin) by the alternating series, then the even part of the
+    exponential series at x = 2 pi min(i, a - i)/a in [0, pi], i = b mod a.
+    In units of 2^-w, each floor and each truncated tail is off by less
+    than 1, so pi is off by less than 4w + 40 and x by less than 4w + 41;
+    the series has fewer than w terms, and an error in x or in one term
+    moves the sum by at most e^pi < 2^5 times as much: in all below
+    2^5 (5w + 42) < 2^31 while prec <= _MAX_SIGN_PREC.  The shift down by
+    32 bits leaves less than 3/2.
     """
     w = prec + 32
 
@@ -239,55 +237,101 @@ def _unit_circle_table(a: int, prec: int) -> tuple[tuple[int, int], ...]:
         return total
 
     pi = 16 * atan_inv(5) - 4 * atan_inv(239)
-    table = []
-    for i in range(euler_phi(a)):
-        t = 2 * pi * min(i, a - i) // a
-        parts, term, n = [0, 0], 1 << w, 0  # term = 2^w t^n/n!
-        while term:
-            parts[n % 2] += (-1) ** (n // 2) * term
-            n += 1
-            term = term * t // (n << w)
-        table.append((parts[0] >> 32, (parts[1] >> 32) * (-1 if 2 * i > a else 1)))
-    return tuple(table)
+    b %= a
+    x = 2 * pi * min(b, a - b) // a
+    total, term, n = 0, 1 << w, 0  # term = 2^w x^n/n!
+    while term:
+        if n % 2 == 0:
+            total += (-1) ** (n // 2) * term
+        n += 1
+        term = term * x // (n << w)
+    return total >> 32
 
 
-def _certified_sign(x: CycloElement) -> int:
-    """Sign of an exactly-nonzero real element of Z[zeta_a], such as a
-    coefficient of the characteristic polynomial at u = cot^2(pi b/a).
+@functools.lru_cache(maxsize=None)
+def _real_cyclotomic(a: int) -> tuple[int, ...]:
+    """Coefficients (low to high) of Psi_a, the minimal polynomial of
+    2 cos(2 pi/a) over Q, of degree phi(a)/2 (degree 1 for a <= 2).
 
-    With the table at precision prec, sum c_i u_i and sum c_i v_i lie
-    within r = 2 sum |c_i| of 2^prec times the real and imaginary parts of
-    sum c_i zeta^i.  The precision doubles until |sum c_i u_i| > r, which
-    certifies the sign; this terminates because the exact value is
-    nonzero.  |sum c_i v_i| must stay below r.  Each failed condition
-    raises :class:`InternalCheckError`.
+    For a >= 3, Phi_a is palindromic of degree 2d, d = phi(a)/2, and
+    Phi_a(z) = z^d Psi_a(z + 1/z): z^-d Phi_a(z) = f_d + sum_k f_(d+k)
+    (z^k + z^-k), and z^k + z^-k = D_k(x) at x = z + 1/z, with D_0 = 2,
+    D_1 = x and D_(k+1) = x D_k - D_(k-1).
     """
-    if x.is_zero():
-        raise InternalCheckError("sign of an exactly zero coefficient requested")
-    r = 2 * sum(map(abs, x.coeffs))
+    if a <= 2:
+        return (-2, 1) if a == 1 else (2, 1)
+    phi = cyclotomic_poly(a)
+    d = (len(phi) - 1) // 2
+    psi = [phi[d]] + [0] * d
+    prev, cur = [2], [0, 1]
+    for k in range(1, d + 1):
+        psi = [p + phi[d + k] * c for p, c in zip(psi, cur + [0] * (d + 1 - len(cur)))]
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return tuple(psi)
+
+
+@functools.lru_cache(maxsize=None)
+def _descartes_basis(g: int) -> tuple[tuple[int, ...], ...]:
+    # (-X)^m Y^(g - m), m = 0..g, as integer polynomials in t (low to high):
+    # products of the factors c - t with c = -2 (-X) and c = 2 (Y)
+    basis = []
+    for m in range(g + 1):
+        poly = [1]
+        for c in [-2] * m + [2] * (g - m):
+            poly = [c * x - y for x, y in zip(poly + [0], [0] + poly)]
+        basis.append(tuple(poly))
+    return tuple(basis)
+
+
+def _certified_sign(p: Sequence[int], a: int, b: int) -> int:
+    """Sign of p(t), t = 2 cos(2 pi b/a), for an integer polynomial p (low
+    to high) with p(t) != 0, such as Y^g c_j(X/Y) for a coefficient c_j
+    of the characteristic polynomial.
+
+    At precision prec, T = 2 _cos_scaled(a, b, prec) is within 4 of
+    tau = 2^prec t, so with g = deg p the integer
+    Q = sum_k p_k T^k 2^(prec (g - k)) (by Horner) lies within
+    r = sum_k |p_k| k 4 (2^(prec + 1) + 4)^(k - 1) 2^(prec (g - k)) of
+    2^(prec g) p(t), since |T^k - tau^k| <= k |T - tau| max(|T|, |tau|)^(k - 1).
+    The precision doubles until |Q| > r, which certifies the sign; this
+    terminates because p(t) != 0.  Each failed condition raises
+    :class:`InternalCheckError`.
+    """
+    if not any(p):
+        raise InternalCheckError("sign of an identically zero coefficient requested")
+    g = len(p) - 1
     prec = 64
     while prec <= _MAX_SIGN_PREC:
-        re = im = 0
-        for c, (u, v) in zip(x.coeffs, _unit_circle_table(x.order, prec)):
-            re += c * u
-            im += c * v
-        if abs(im) >= r:
-            raise InternalCheckError("coefficient is not real")
-        if abs(re) > r:
-            return 1 if re > 0 else -1
+        T, top = 2 * _cos_scaled(a, b, prec), (1 << (prec + 1)) + 4
+        q = r = 0
+        for k in range(g, -1, -1):
+            q = q * T + (p[k] << (prec * (g - k)))
+            if k:
+                r += abs(p[k]) * k * 4 * top ** (k - 1) << (prec * (g - k))
+        if abs(q) > r:
+            return 1 if q > 0 else -1
         prec *= 2
     raise InternalCheckError(
         f"sign of a nonzero coefficient not separable at {_MAX_SIGN_PREC} bits of precision"
     )
 
 
-def _sign_at(coeffs: Sequence[int], powers: Sequence[CycloElement]) -> int:
-    # sign of the real element sum_m coeffs[m] powers[m] of Z[zeta_a]: 0 when
-    # every coefficient is 0 or the sum is exactly 0, else certified
-    if not any(coeffs):
+def _sign_at(p: Sequence[int], a: int, b: int, psi: Sequence[int] | None) -> int:
+    # sign of the integer polynomial p at t = 2 cos(2 pi b/a), gcd(a, b) = 1:
+    # 0 when p is identically zero or vanishes at t, else certified.  A
+    # nonzero p vanishes at t iff psi, the minimal polynomial of t, divides
+    # it; psi is None when deg p is below its degree, so p(t) != 0
+    if not any(p):
         return 0
-    x = functools.reduce(operator.add, (p.scale(c) for c, p in zip(coeffs, powers) if c))
-    return 0 if x.is_zero() else _certified_sign(x)
+    if psi:
+        rem = list(p)
+        for i in range(len(p) - 1, len(psi) - 2, -1):  # psi is monic
+            c = rem[i]
+            for j, x in enumerate(psi):
+                rem[i - len(psi) + 1 + j] -= c * x
+        if not any(rem):
+            return 0
+    return _certified_sign(p, a, b)
 
 
 def _sign_changes(signs: Sequence[int]) -> int:
@@ -321,16 +365,17 @@ def lt_signature(V: SeifertMatrix, a: int, b: int) -> int:
     rows = [digits[(n + 1) * j : (n + 1) * (j + 1)] for j in range(n + 1)]
     if any(any(row[1::2]) for row in rows):
         raise InternalCheckError("det(lambda I - S - sigma A) is not even in sigma")
-    # Y^g c_j(X/Y) = sum_m e_(j, 2m) (-X)^m Y^(g - m), g = n/2
-    one = CycloElement.from_rational(a, 1)
-    two_cos = CycloElement.zeta(a, b) + CycloElement.zeta(a, -b)
-    minus_x, y = -(one.scale(2) + two_cos), one.scale(2) - two_cos
-    x_pows, y_pows = [one], [one]
-    for _ in range(n // 2):
-        x_pows.append(x_pows[-1] * minus_x)
-        y_pows.append(y_pows[-1] * y)
-    powers = [p * q for p, q in zip(x_pows, reversed(y_pows))]
-    signs = [_sign_at(row[::2], powers) for row in rows]
+    # Y^g c_j(X/Y) = sum_m e_(j, 2m) (-X)^m Y^(g - m), g = n/2, is an integer
+    # polynomial in t = 2 cos(2 pi b/a), X = 2 + t and Y = 2 - t > 0; with
+    # a/b in lowest terms, t has degree phi(a)/2 over Q (1 for a = 2)
+    d = gcd(a, b)
+    order, step = a // d, min(b % a, -b % a) // d
+    psi = _real_cyclotomic(order) if n >= euler_phi(order) else None
+    basis = _descartes_basis(n // 2)
+    signs = [
+        _sign_at([sum(e * p[k] for e, p in zip(row[::2], basis)) for k in range(n // 2 + 1)], order, step, psi)
+        for row in rows
+    ]
     if not signs[0]:
         raise SingularPivot(f"Hermitian form at omega = zeta_{a}^(-{b}) is singular")
     pos, neg = _sign_changes(signs), _sign_changes([s * (-1) ** j for j, s in enumerate(signs)])

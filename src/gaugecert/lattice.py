@@ -107,10 +107,6 @@ class GramForm:
             rows = tuple(tuple(x.numerator for x in row) for row in scaled)
         object.__setattr__(self, "rows", rows)
 
-    def apply(self, x, y) -> Fraction:
-        """The pairing x . y."""
-        return Fraction(_pair(self.rows, x, y), self.scale)
-
     @functools.cached_property
     def _tridiagonal_minors(self) -> list[int] | None:
         # leading minors of a tridiagonal ``rows`` by the continuant recurrence, else None

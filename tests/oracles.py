@@ -19,6 +19,12 @@ here share none of that code:
 (:func:`gaugecert.matutil.det_int`, the leading minors and the Alexander
 polynomial): the permutation expansion over Z[t], which shares nothing
 with the library's fraction-free elimination.
+
+The remaining helpers build test inputs and read results; the library
+itself never calls them: :func:`crt_solve` (Seifert data with a given
+d), :func:`alexander_torus` (torus-knot Alexander polynomials),
+:func:`as_dict` (a Laurent polynomial as a dict) and :func:`pairing`
+(x . y of a :class:`~gaugecert.GramForm`).
 """
 
 from __future__ import annotations
@@ -28,10 +34,20 @@ import os
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
+from typing import Sequence
 
 import mpmath
 
-from gaugecert import BadParameters, CycloElement, NonRational
+from gaugecert import (
+    BadParameters,
+    CycloElement,
+    GramForm,
+    InternalCheckError,
+    LaurentPoly,
+    NonRational,
+    NoSolution,
+)
+from gaugecert.exactnum import _poly_div_exact, inverse_mod
 
 
 def sawtooth_convolution(a: int, c: int, m: int) -> int:
@@ -150,3 +166,71 @@ def leibniz_det(m) -> dict[int, int]:
         for e, c in prod.items():
             total[e] = total.get(e, 0) + c
     return {e: c for e, c in total.items() if c}
+
+
+def crt_solve(moduli: Sequence[int], target: int = 1) -> tuple[int, ...]:
+    """Integers b_i with gcd(b_i, a_i) = 1 and (a_1...a_n) sum b_i/a_i = d.
+
+    Reducing the defining identity mod a_i forces b_i mod a_i; we take the
+    representative in (0, a_i) for i < n and solve exactly for the last
+    coefficient, so the output is deterministic.  Requires the moduli to be
+    pairwise coprime and gcd(d, a_1...a_n) = 1.
+    """
+    moduli = tuple(int(m) for m in moduli)
+    if not moduli:
+        raise NoSolution("at least one modulus is required")
+    if any(m < 1 for m in moduli):
+        raise NoSolution("moduli must be positive")
+    for i in range(len(moduli)):
+        for j in range(i + 1, len(moduli)):
+            if gcd(moduli[i], moduli[j]) != 1:
+                raise NoSolution(f"moduli {moduli[i]} and {moduli[j]} are not coprime")
+    a = 1
+    for m in moduli:
+        a *= m
+    d = int(target)
+    if gcd(d, a) != 1:
+        raise NoSolution(f"target {d} is not coprime to product {a}")
+    out: list[int] = []
+    partial = 0  # sum of b_i * (a / a_i) so far
+    for i, m in enumerate(moduli[:-1]):
+        cof = a // m
+        if m == 1:
+            b = 0
+        else:
+            b = (d * inverse_mod(cof % m, m)) % m
+            if not 0 < b < m:
+                raise InternalCheckError(f"coefficient {b} for modulus {m} is not in (0, {m})")
+        out.append(b)
+        partial += b * cof
+    last = moduli[-1]
+    cof = a // last
+    num = d - partial
+    if num % cof:
+        raise InternalCheckError(f"last coefficient {num}/{cof} is not an integer")
+    out.append(num // cof)
+    if gcd(out[-1], last) != 1:
+        raise InternalCheckError(f"last coefficient {out[-1]} is not coprime to modulus {last}")
+    return tuple(out)
+
+
+def alexander_torus(p: int, q: int) -> LaurentPoly:
+    """Alexander polynomial (t^pq - 1)(t - 1)/((t^p - 1)(t^q - 1)) of the
+    (p, q) torus knot, by exact division, normalized symmetric about t^0."""
+    if p < 2 or q < 2 or gcd(p, q) != 1:
+        raise BadParameters("need coprime p, q >= 2")
+    quo = [0] * (p * q + 2)  # (t^pq - 1)(t - 1), low to high
+    quo[0], quo[1], quo[p * q], quo[p * q + 1] = 1, -1, -1, 1
+    for m in (p, q):
+        quo = _poly_div_exact(quo, [-1] + [0] * (m - 1) + [1])  # by t^m - 1
+    return LaurentPoly(tuple(enumerate(quo))).symmetrized()
+
+
+def as_dict(poly: LaurentPoly) -> dict[int, int]:
+    """The polynomial as {exponent: coefficient}, zero coefficients dropped."""
+    return dict(poly.terms)
+
+
+def pairing(G: GramForm, x, y) -> Fraction:
+    """x . y for the form G, summed over its (rational) gram matrix."""
+    return sum((xi * g * yj for xi, row in zip(x, G.gram) for g, yj in zip(row, y)), Fraction(0))

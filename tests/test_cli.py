@@ -212,6 +212,22 @@ def test_knot_order_cap(tmp_path):
     assert run("rho-transfer", "1001", "1").returncode == 0  # an unknotted strand builds no table
 
 
+def test_seifert_matrix_size_cap(tmp_path):
+    # a Seifert matrix larger than MAX_SEIFERT_SIZE = 20 (genus 10) is refused
+    # before its determinant, from the command line and from a problem file
+    n = 22
+    matrix = [[-int(i == j) + int(j == i + 1 and i % 2 == 0) for j in range(n)] for i in range(n)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": "surgery-config", "strands": [
+        {"a": 2, "b": 1}, {"a": 3, "b": 1}, {"a": 7, "b": -6, "seifert_matrix": matrix}]}), encoding="utf-8")
+    for argv, field in ((("rho-transfer", "7", "1", "--seifert-matrix", json.dumps(matrix)), "'seifert_matrix'"),
+                        (("check-fs", "--problem", str(path)), "'strands'")):
+        r = run(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr and field in r.stderr
+        assert "Seifert matrix of size 22 exceeds the limit 20" in r.stderr
+
+
 def test_c_e_node_cap(tmp_path):
     # the enumeration is refused once it visits more than MAX_CE_NODES nodes;
     # the rank-4 identity form at e = (100, 0, 0, 0) needs about 2.11 million

@@ -16,7 +16,6 @@ from gaugecert import (
     NonRational,
     NoSolution,
     cot_cot_sin2_sum,
-    crt_solve,
     cyclotomic_poly,
     hj_expand,
 )
@@ -24,6 +23,7 @@ from gaugecert.exactnum import _sawtooth_convolution, continuants, euler_phi
 
 from oracles import (
     ORACLE_PREC_ENV,
+    crt_solve,
     cyclo_make_cot_cot_sin2,
     float_oracle_sum,
     rational_extract,

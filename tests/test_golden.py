@@ -11,7 +11,8 @@ class map was made one pass; the degenerate genus-2 and the genus-3
 surgery configurations before the signatures were read from one integer
 polynomial.  Each output must stay byte identical; the call counts pin
 that each knotted strand's signature, which also decides its
-nondegeneracy, and each strand's cotangent sum are computed once."""
+nondegeneracy, and each strand's cotangent sum are computed once, and
+that the knotted reports build no element of Z[zeta_a]."""
 
 import json
 from pathlib import Path
@@ -22,7 +23,7 @@ import gaugecert.cli as cli
 import gaugecert.index as index
 import gaugecert.lens as lens
 import gaugecert.obstruct as obstruct
-from gaugecert import SeifertData
+from gaugecert import CycloElement, SeifertData
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = (
@@ -76,7 +77,7 @@ REPORTS = [
     pytest.param(["c-e", "ce_readme.problem.json"], "ce_readme.report.json", id="c-e-readme"),
     # Sigma(2,3,7): Ind+ = R = -1 < 0, so the parity theorem does not apply
     pytest.param(["check-fs", "2,1", "3,-1", "7,-1"], "fs_2_3_7.report.json", id="fs-2-3-7"),
-    # knotted transfers whose signs read the cos/sin table beyond a = 3
+    # knotted transfers whose signs are certified from a cosine beyond a = 3
     pytest.param(["rho-transfer", "61", "20", "--knot", "trefoil"], "rho_transfer_61_20_trefoil.report.json",
                  id="rho-transfer-61-20-trefoil"),
     pytest.param(["rho-transfer", "31", "7", "--seifert-matrix", GENUS4], "rho_transfer_31_7_genus4.report.json",
@@ -123,6 +124,30 @@ def test_knotted_strand_call_counts(monkeypatch, name, expected):
     obstruct.run_problem(json.loads((GOLDEN / f"{name}.problem.json").read_text(encoding="utf-8")))
     assert calls == expected
     assert not hasattr(obstruct, "alexander_from_seifert") and not hasattr(obstruct, "nondegenerate_at")
+
+
+KNOTTED = [
+    *(["check-fs", "--problem", f"{n}.problem.json"] for n in CASES),
+    ["rho-transfer", "3", "1", "--seifert-matrix", GENUS2],
+    ["rho-transfer", "3", "1", "--knot", "figure8"],
+    ["rho-transfer", "61", "20", "--knot", "trefoil"],
+    ["rho-transfer", "31", "7", "--seifert-matrix", GENUS4],
+]
+
+
+def test_knotted_goldens_use_no_cyclotomic_arithmetic(capsys, monkeypatch):
+    # a signature works with integer polynomials at t = 2 cos(2 pi b/a):
+    # no element of Z[zeta_a] is built, and every CycloElement operation
+    # would build its result
+    monkeypatch.chdir(GOLDEN)
+    built, signatures = [], []
+    monkeypatch.setattr(CycloElement, "__post_init__", lambda self: built.append(self.order))
+    lt_signature = obstruct.lt_signature
+    monkeypatch.setattr(obstruct, "lt_signature", lambda *args: signatures.append(args) or lt_signature(*args))
+    for argv in KNOTTED:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(signatures) == len(KNOTTED) and built == []
 
 
 def _fs_2_3_5():

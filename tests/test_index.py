@@ -14,7 +14,6 @@ from gaugecert import (
     LensSpace,
     NotHomologySphere,
     SeifertData,
-    crt_solve,
     d_invariant,
     ind_plus_general,
     ind_plus_seifert_qhs,
@@ -24,6 +23,8 @@ from gaugecert import (
     rho_lens,
     torus_knot_surgery,
 )
+
+from oracles import crt_solve
 
 
 def test_ind_plus_general_trivial():

@@ -5,32 +5,30 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from math import gcd
+from math import comb, gcd
 
 import mpmath
 import pytest
-from oracles import leibniz_det
+from oracles import alexander_torus, as_dict, leibniz_det
 
 import gaugecert.knots as knots
-from gaugecert.exactnum import euler_phi
+from gaugecert.exactnum import cyclotomic_poly, euler_phi
 from gaugecert import (
     BadParameters,
-    CycloElement,
     InternalCheckError,
     KNOT_CATALOG,
     LaurentPoly,
     SeifertMatrix,
     SingularPivot,
     alexander_from_seifert,
-    alexander_torus,
     lt_signature,
     nondegenerate_at,
 )
 
 
 def test_alexander_torus_examples():
-    assert alexander_torus(2, 3).as_dict() == {-1: 1, 0: -1, 1: 1}
-    assert alexander_torus(2, 5).as_dict() == {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}
+    assert as_dict(alexander_torus(2, 3)) == {-1: 1, 0: -1, 1: 1}
+    assert as_dict(alexander_torus(2, 5)) == {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}
     # Alexander polynomial at t = 1 is a unit
     for p, q in ((2, 3), (3, 5), (2, 7), (4, 5)):
         assert sum(c for _, c in alexander_torus(p, q).terms) in (1, -1)
@@ -40,8 +38,8 @@ def test_alexander_torus_examples():
 
 def test_alexander_from_seifert_matches_catalog():
     assert alexander_from_seifert(KNOT_CATALOG["trefoil"]) == alexander_torus(2, 3)
-    assert alexander_from_seifert(KNOT_CATALOG["figure8"]).as_dict() == {-1: 1, 0: -3, 1: 1}
-    assert alexander_from_seifert(KNOT_CATALOG["unknot"]).as_dict() == {0: 1}
+    assert as_dict(alexander_from_seifert(KNOT_CATALOG["figure8"])) == {-1: 1, 0: -3, 1: 1}
+    assert as_dict(alexander_from_seifert(KNOT_CATALOG["unknot"])) == {0: 1}
 
 
 def _random_unimodular_seifert(rng, genus, magnitude):
@@ -84,7 +82,7 @@ def test_alexander_from_seifert_against_leibniz():
         assert max(map(abs, det.values())) <= bound
         sign = 1 if det[max(det)] > 0 else -1
         centre = (min(det) + max(det)) // 2
-        assert alexander_from_seifert(V).as_dict() == {e - centre: sign * c for e, c in det.items()}, rows
+        assert as_dict(alexander_from_seifert(V)) == {e - centre: sign * c for e, c in det.items()}, rows
         assert sum(det.values()) == 1  # det(V - V^T)
         large += max(abs(x) for row in rows for x in row) >= 500
     assert large >= 100
@@ -121,6 +119,22 @@ def test_seifert_matrix_validation():
     with pytest.raises(TypeError):  # refused, not truncated to the trefoil
         SeifertMatrix(((-1.5, 1), (0, -1)))
     assert SeifertMatrix(()).size == 0
+
+
+def _trefoil_sum(genus):
+    # block sum of genus trefoil matrices: V - V^T is unimodular at every size
+    n = 2 * genus
+    return [[-int(i == j) + int(j == i + 1 and i % 2 == 0) for j in range(n)] for i in range(n)]
+
+
+def test_seifert_matrix_size_cap(monkeypatch):
+    # refused before the unimodularity determinant; genus 10 is still accepted
+    assert knots.MAX_SEIFERT_SIZE == 20
+    assert SeifertMatrix(_trefoil_sum(10)).size == 20
+    assert lt_signature(SeifertMatrix(_trefoil_sum(10)), 2, 1) == -20
+    monkeypatch.setattr(knots, "det_int", lambda m: pytest.fail("det_int called on an oversized matrix"))
+    with pytest.raises(BadParameters, match="size 22 exceeds the limit 20"):
+        SeifertMatrix(_trefoil_sum(11))
 
 
 def test_lt_signature_examples():
@@ -272,19 +286,19 @@ BRANCHES = ("identically zero", "exact zero", "certified")
 )
 def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, count, make, a_max, branch):
     # each branch of a coefficient's sign, checked against mpmath
-    # eigenvalues: a coefficient c_j that is identically zero, one that is
-    # not but vanishes exactly at u = cot^2(pi b/a), and a certified sign;
-    # each family must take its branch at least once
+    # eigenvalues: a coefficient polynomial P_j that is identically zero,
+    # one that is not but vanishes exactly at t = 2 cos(2 pi b/a), and a
+    # certified sign; each family must take its branch at least once
     signs, branches = [], []
     certify, sign_at = knots._certified_sign, knots._sign_at
 
-    def spy(x):
-        signs.append(certify(x))
+    def spy(p, a, b):
+        signs.append(certify(p, a, b))
         return signs[-1]
 
-    def branch_spy(coeffs, powers):
-        sign = sign_at(coeffs, powers)
-        branches.append(BRANCHES[0] if not any(coeffs) else BRANCHES[1] if not sign else BRANCHES[2])
+    def branch_spy(p, a, b, psi):
+        sign = sign_at(p, a, b, psi)
+        branches.append(BRANCHES[0] if not any(p) else BRANCHES[1] if not sign else BRANCHES[2])
         return sign
 
     monkeypatch.setattr(knots, "_certified_sign", spy)
@@ -302,7 +316,7 @@ def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, coun
         assert lt_signature(V, a, b) == expected, (case, V.rows, a, b)
         compared += 1
         # each of the n + 1 coefficients takes one branch, and only a
-        # certified one reads the cos/sin table
+        # certified one reads the cosine
         assert len(branches) == V.size + 1
         assert branches.count(BRANCHES[2]) == len(signs)
         taken += branch in branches
@@ -310,51 +324,118 @@ def test_lt_signature_branches_against_eigenvalue_oracle(monkeypatch, case, coun
     assert taken >= 1
 
 
-def test_unit_circle_table_against_mpmath():
-    # the integer table keeps the bound its docstring proves: within 2 units of 2^prec (cos, sin)
+def test_cosine_against_mpmath():
+    # the single-angle cosine keeps the bound its docstring proves: within
+    # 2 units of 2^prec cos(2 pi b/a), for every b < a
     ref = mpmath.MPContext()
     cases = [(a, prec) for a in range(2, 101) for prec in (64, 256)]
     cases += [(a, 1024) for a in (7, 61, 997)] + [(7, 4096)]
     for a, prec in cases:
-        table = knots._unit_circle_table(a, prec)
-        assert len(table) == euler_phi(a)
         ref.prec = prec + 64
-        for i, (u, v) in enumerate(table):
-            angle = 2 * ref.pi * i / a
-            assert abs(u - ref.ldexp(ref.cos(angle), prec)) < 2, (a, prec, i)
-            assert abs(v - ref.ldexp(ref.sin(angle), prec)) < 2, (a, prec, i)
+        for b in range(a):
+            exact = ref.ldexp(ref.cos(2 * ref.pi * b / a), prec)
+            assert abs(knots._cos_scaled(a, b, prec) - exact) < 2, (a, prec, b)
+
+
+def _at_z_plus_inverse(psi):
+    # z^d psi(z + 1/z), d = deg psi, low to high: z^d (z + 1/z)^k = sum_i C(k, i) z^(d + k - 2i)
+    d = len(psi) - 1
+    out = [0] * (2 * d + 1)
+    for k, c in enumerate(psi):
+        for i in range(k + 1):
+            out[d + k - 2 * i] += c * comb(k, i)
+    return out
+
+
+def test_real_cyclotomic_against_cyclotomic_poly():
+    for a in range(3, 301):
+        assert tuple(_at_z_plus_inverse(knots._real_cyclotomic(a))) == cyclotomic_poly(a), a
+    # 2 cos(2 pi/a) = +-2 for a <= 2, where z Psi_a(z + 1/z) = Phi_a(z)^2
+    for a in (1, 2):
+        c0, c1 = cyclotomic_poly(a)
+        assert _at_z_plus_inverse(knots._real_cyclotomic(a)) == [c0 * c0, 2 * c0 * c1, c1 * c1]
+
+
+def test_real_cyclotomic_vanishes_at_the_conjugates():
+    # Psi_a has degree phi(a)/2 (1 for a <= 2) and vanishes at every 2 cos(2 pi k/a), gcd(k, a) = 1
+    ref = mpmath.MPContext()
+    ref.prec = 256
+    for a in range(1, 61):
+        psi = knots._real_cyclotomic(a)
+        assert len(psi) - 1 == max(1, euler_phi(a) // 2) and psi[-1] == 1
+        for k in range(1, a + 1):
+            if gcd(k, a) == 1:
+                value = ref.polyval(psi[::-1], 2 * ref.cos(2 * ref.pi * k / a))
+                assert abs(value) < ref.mpf(2) ** -200, (a, k)
+
+
+def test_lt_signature_at_reduced_angles(monkeypatch):
+    # zeta_a^(-b) = zeta_(a/g)^(-b/g) for g = gcd(a, b): the same signature,
+    # or singular at both; this covers omega = -1 (a/g = 2) and points where
+    # the genus reaches phi(a/g)/2, so that the exact zero test reduces
+    # modulo Psi_(a/g); the catalog knots are also compared with mpmath
+    reduced, sign_at = [], knots._sign_at
+
+    def spy(p, a, b, psi):
+        reduced.append(psi is not None and any(p))
+        return sign_at(p, a, b, psi)
+
+    monkeypatch.setattr(knots, "_sign_at", spy)
+    rng = random.Random(59)
+    mats = [(V, V.size > 0) for V in KNOT_CATALOG.values()]
+    mats += [(_random_seifert_matrix(rng, rng.randint(1, 3), magnitude=1), False) for _ in range(30)]
+    omega_minus_one = remainders = singular = 0
+    for V, eigen in mats:
+        for a in range(4, 25):
+            for b in range(2, a):
+                g = gcd(a, b)
+                if g == 1:
+                    continue
+                reduced.clear()
+                try:
+                    expected = lt_signature(V, a // g, b // g)
+                except SingularPivot:
+                    expected = None
+                try:
+                    got = lt_signature(V, a, b)
+                except SingularPivot:
+                    got = None
+                assert got == expected, (V.rows, a, b)
+                if eigen and expected is not None and (oracle := _eigen_signature(V, a, b)) is not None:
+                    assert got == oracle, (V.rows, a, b)
+                omega_minus_one += a == 2 * b and V.size > 0
+                remainders += any(reduced)
+                singular += got is None
+    assert omega_minus_one >= 100 and remainders >= 1000 and singular >= 10
 
 
 def test_certified_sign_doubles_the_precision(monkeypatch):
-    # F_k (zeta_5 + zeta_5^-1) - F_(k-1) = F_k (sqrt 5 - 1)/2 - F_(k-1) has
-    # coefficients near F_k but a value near 1/F_k, so its sign needs about
-    # 2 log2 F_k bits: the precision doubles past 64
+    # F_k t - F_(k-1) at t = 2 cos(2 pi/5) = (sqrt 5 - 1)/2 has coefficients
+    # near F_k but a value near 1/F_k, so its sign needs about 2 log2 F_k
+    # bits: the precision doubles past 64
     precs = []
-    table = knots._unit_circle_table
-    monkeypatch.setattr(knots, "_unit_circle_table", lambda a, prec: precs.append(prec) or table(a, prec))
-    golden = CycloElement.zeta(5, 1) + CycloElement.zeta(5, -1)
+    cos = knots._cos_scaled
+    monkeypatch.setattr(knots, "_cos_scaled", lambda a, b, prec: precs.append(prec) or cos(a, b, prec))
     fib = [0, 1]
     while len(fib) < 200:
         fib.append(fib[-1] + fib[-2])
     for k in (10, 60, 120, 199):
-        x = golden.scale(fib[k]) - CycloElement.from_rational(5, fib[k - 1])
         # sign of F_k sqrt 5 - (2 F_(k-1) + F_k), compared in integers
         expected = 1 if 5 * fib[k] ** 2 > (2 * fib[k - 1] + fib[k]) ** 2 else -1
-        assert knots._certified_sign(x) == expected == (-1) ** (k + 1)
+        assert knots._certified_sign([-fib[k - 1], fib[k]], 5, 1) == expected == (-1) ** (k + 1)
     assert max(precs) == 512
 
 
 def test_certified_sign_checks(monkeypatch):
-    # the checks raise InternalCheckError rather than assert, so they hold under -O
-    real = CycloElement.zeta(7, 1) + CycloElement.zeta(7, -1)
-    assert knots._certified_sign(real) == 1
+    # the checks raise InternalCheckError rather than assert, so they hold
+    # under -O; a coefficient is an integer polynomial at a real point, so
+    # there is no imaginary part left to check
+    assert knots._certified_sign([0, 1], 7, 1) == 1  # 2 cos(2 pi/7) > 0
     with pytest.raises(InternalCheckError, match="zero"):
-        knots._certified_sign(CycloElement.zero(7))
-    with pytest.raises(InternalCheckError, match="not real"):
-        knots._certified_sign(CycloElement.zeta(5, 1))
+        knots._certified_sign([0, 0], 7, 1)
     monkeypatch.setattr(knots, "_MAX_SIGN_PREC", 32)
     with pytest.raises(InternalCheckError, match="not separable"):
-        knots._certified_sign(real)
+        knots._certified_sign([0, 1], 7, 1)
     with pytest.raises(InternalCheckError):
         lt_signature(KNOT_CATALOG["trefoil"], 5, 1)
 
@@ -413,9 +494,12 @@ def test_lt_signature_threads():
         except SingularPivot:
             return None
 
-    knots._unit_circle_table.cache_clear()
+    caches = (knots._cos_scaled, knots._real_cyclotomic, knots._descartes_basis)
+    for cache in caches:
+        cache.cache_clear()
     serial = [signature(case) for case in cases]
-    knots._unit_circle_table.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
