@@ -183,7 +183,14 @@ def _cmd_rho_transfer(args) -> tuple[dict, str]:
     return {"value": str(value)}, f"rho = {value}\n"
 
 
+#: Largest ``selftest --nz-max``: the identity grid has about 3 A^2/pi^2
+#: coprime pairs, and 500 took 3.2 s, 1000 took 12.6 s (2 CPU x86_64).
+MAX_NZ_GRID = 500
+
+
 def _cmd_selftest(args) -> tuple[dict, str]:
+    if args.nz_max > MAX_NZ_GRID:
+        raise GaugeCertError(f"--nz-max {args.nz_max} exceeds the limit {MAX_NZ_GRID}")
     checked = {}
 
     # Neumann-Zagier identity grid

@@ -4,10 +4,14 @@ All rational quantities in the package are :class:`fractions.Fraction`
 (arbitrary precision, always in lowest terms with positive denominator).
 On top of that this module provides:
 
+* division with remainder by a monic integer polynomial
+  (:func:`poly_divmod`), which builds the cyclotomic polynomials and
+  makes the exact zero tests of the knot module;
 * exact arithmetic in the cyclotomic field Q(zeta_a), with elements
   represented in the power basis 1, zeta, ..., zeta^(phi(a)-1) modulo the
   a-th cyclotomic polynomial (:class:`CycloElement`); elements with integer
-  coefficients stay in the ring Z[zeta_a] under every ring operation;
+  coefficients stay in the ring Z[zeta_a] under every ring operation (no
+  library code builds one; the tests' reference routes do);
 * exact evaluation of the cotangent sums
 
       sum_{k=1}^{a-1} cot(pi k/a) cot(pi k b/a) sin^2(pi k l/a)
@@ -43,7 +47,6 @@ __all__ = [
     "cyclotomic_poly",
     "euler_phi",
     "hj_expand",
-    "xgcd",
 ]
 
 
@@ -51,23 +54,11 @@ __all__ = [
 # elementary number theory
 # ---------------------------------------------------------------------------
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def inverse_mod(x: int, m: int) -> int:
-    g, u, _ = xgcd(x, m)
-    if g != 1:
-        raise NoSolution(f"{x} is not invertible mod {m}")
-    return u % m
+    try:
+        return pow(x, -1, m)
+    except ValueError:
+        raise NoSolution(f"{x} is not invertible mod {m}") from None
 
 
 def euler_phi(a: int) -> int:
@@ -102,21 +93,18 @@ def _divisors(a: int) -> list[int]:
 # cyclotomic polynomials and the power basis of Q(zeta_a)
 # ---------------------------------------------------------------------------
 
-def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
-    # exact division of integer polynomials, den monic
-    num = list(num)
+def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder (low to high) of integer polynomials, den monic."""
     if den[-1] != 1:
         raise InternalCheckError(f"polynomial division by {tuple(den)}, which is not monic")
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
+    rem = list(num)
+    quo = [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + len(den) - 1]
         if c:
             for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num):
-        raise InternalCheckError(f"polynomial division by {tuple(den)} leaves a remainder")
-    return out
+                rem[i + j] -= c * d
+    return quo, rem[: len(den) - 1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,7 +119,9 @@ def cyclotomic_poly(a: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (a - 1) + [1]  # x^a - 1
     for m in _divisors(a):
         if m < a:
-            poly = _poly_div_exact(poly, cyclotomic_poly(m))
+            poly, rem = poly_divmod(poly, cyclotomic_poly(m))
+            if any(rem):
+                raise InternalCheckError(f"x^{a} - 1 is not divisible by Phi_{m}")
     if len(poly) != euler_phi(a) + 1 or poly[-1] != 1:
         raise InternalCheckError(f"Phi_{a} = {tuple(poly)} is not monic of degree phi({a})")
     return tuple(poly)

@@ -32,8 +32,10 @@ reported by that pinned sign when exactly one sign restricts on the nose,
 else with its first nonzero coordinate positive; output is sorted.
 
 :func:`detect_orthogonal_split` decides whether the lattice is generated
-by e together with the integer orthogonal complement of e; when it is,
-C(e) is a single point.
+by e together with the integer orthogonal complement of e, by one gcd:
+with v = scale * (G e), it is iff |v . e| = gcd(v).  When it is, C(e) is
+a single point.  Forms of rank above :data:`MAX_CE_RANK` are refused
+before their elimination.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import BadParameters, HypothesisFailed, InternalCheckError, NotDefinite
-from .exactnum import HJExpansion, continuants, xgcd
-from .matutil import bareiss_leading_minors, bareiss_rows, det_int, kernel_basis_int
+from .exactnum import HJExpansion, continuants
+from .matutil import bareiss_leading_minors, bareiss_rows, det_int
 
 __all__ = [
     "CeProblem",
@@ -183,11 +185,18 @@ class Restriction:
         object.__setattr__(self, "row", tuple(map(operator.index, self.row)))
 
 
+#: Largest rank of a C(e) form: its elimination is cubic in the rank and
+#: runs before any Fincke-Pohst node is counted.  Rank 200 took 0.3 s and
+#: rank 400 took 3.5 s on dense forms (2 CPU x86_64).
+MAX_CE_RANK = 200
+
+
 @dataclass(frozen=True)
 class CeProblem:
-    """A C(e) problem on a negative definite form.  Definiteness is read off
-    the swap-free Bareiss elimination of -scale * gram (every leading minor
-    positive, a zero pivot refused), and the eliminated rows are kept for
+    """A C(e) problem on a negative definite form of rank at most
+    :data:`MAX_CE_RANK`.  Definiteness is read off the swap-free Bareiss
+    elimination of -scale * gram (every leading minor positive, a zero
+    pivot refused), and the eliminated rows are kept for
     :func:`enumerate_C_e`, so each problem is eliminated once."""
 
     form: GramForm
@@ -196,6 +205,8 @@ class CeProblem:
     _bareiss: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.form.rank > MAX_CE_RANK:
+            raise BadParameters(f"C(e) form of rank {self.form.rank} exceeds the limit {MAX_CE_RANK}")
         object.__setattr__(self, "e", tuple(map(operator.index, self.e)))
         object.__setattr__(self, "restrictions", tuple(self.restrictions))
         if len(self.e) != self.form.rank:
@@ -348,9 +359,10 @@ def detect_orthogonal_split(G: GramForm, e) -> bool:
     """True iff the integer lattice is generated by e together with the
     integer orthogonal complement of e, decided exactly over Z.
 
-    Writing v = scale * (G e) (an integer vector), the complement is the
-    integer kernel of v; stacking e on a kernel basis, the split holds iff
-    the determinant is +-1.  When it holds, C(e) is a single point.
+    With v = scale * (G e) (an integer vector), x -> (v / gcd(v)) . x maps
+    Z^n onto Z with kernel the complement of e, so the split holds iff e
+    maps to +-1, that is |v . e| = gcd(v).  When it holds, C(e) is a
+    single point.
     """
     if not is_negative_definite(G):
         raise NotDefinite("orthogonal split test requires a negative definite form")
@@ -360,8 +372,7 @@ def detect_orthogonal_split(G: GramForm, e) -> bool:
     if all(x == 0 for x in e):
         return True
     v = [sum(g * ej for g, ej in zip(row, e)) for row in G.rows]
-    mat = [list(e)] + kernel_basis_int(v)
-    return abs(det_int(mat)) == 1
+    return abs(sum(vi * ei for vi, ei in zip(v, e))) == gcd(*v)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +441,8 @@ def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int, torsion_odd: bool
 def _crt3(*residues: tuple[int, int]) -> int:
     x, m = 0, 1
     for r, n in residues:
-        g, u, _ = xgcd(m, n)
-        if g != 1:
+        if gcd(m, n) != 1:
             raise InternalCheckError(f"CRT moduli {m} and {n} are not coprime")
-        x = (x + (r - x) * u % n * m) % (m * n)
+        x = (x + (r - x) * pow(m, -1, n) % n * m) % (m * n)
         m *= n
     return x

@@ -1,21 +1,21 @@
-"""Small exact integer matrix helpers shared by the knot and lattice modules.
+"""The exact integer matrix elimination shared by the knot and lattice modules.
 
 Every exact determinant in the package comes from the one fraction-free
-elimination here: leading minors for definiteness, determinants of
-integer lattices, the diagonal of an inverse form (as ratios of minors),
-the integer rows that drive the C(e) enumeration and, by Kronecker
-substitution, the Alexander polynomial and the characteristic polynomial
-of the Levine-Tristram signatures.
+elimination here: leading minors for definiteness, Gram determinants,
+the diagonal of an inverse form (as ratios of minors), the integer rows
+that drive the C(e) enumeration and, by Kronecker substitution, the
+Alexander polynomial and the characteristic polynomial of the
+Levine-Tristram signatures.  The orthogonal split test needs no matrix:
+it is one gcd (:func:`gaugecert.lattice.detect_orthogonal_split`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BadParameters, InternalCheckError
-from .exactnum import xgcd
+from .errors import BadParameters
 
-__all__ = ["bareiss_leading_minors", "bareiss_rows", "det_int", "kernel_basis_int"]
+__all__ = ["bareiss_leading_minors", "bareiss_rows", "det_int"]
 
 
 def _bareiss(rows: Sequence[Sequence[int]], swap_rows: bool) -> tuple[list[int], list[list[int]]]:
@@ -68,30 +68,3 @@ def bareiss_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss with row swaps)."""
     return _bareiss(rows, swap_rows=True)[0][-1] if rows else 1
-
-
-def kernel_basis_int(vec: Sequence[int]) -> list[list[int]]:
-    """A basis of the integer kernel {x : vec . x = 0} of a nonzero integer
-    row vector, as r - 1 integer vectors.
-
-    Builds a unimodular U with vec . U = (g, 0, ..., 0); the kernel basis is
-    the remaining columns of U.
-    """
-    v = [int(x) for x in vec]
-    r = len(v)
-    if not any(v):
-        raise BadParameters("kernel of the zero vector is the whole lattice")
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(1, r):
-        if v[i] == 0:
-            continue
-        g, s, t = xgcd(v[0], v[i])
-        a0, ai = v[0] // g, v[i] // g
-        for row in u:
-            c0, ci = row[0], row[i]
-            row[0] = c0 * s + ci * t
-            row[i] = -c0 * ai + ci * a0
-        v[0], v[i] = g, 0
-    if v[0] == 0 or any(v[1:]):
-        raise InternalCheckError(f"unimodular reduction of {list(vec)} left {v}, not (g, 0, ..., 0)")
-    return [[u[i][j] for i in range(r)] for j in range(1, r)]

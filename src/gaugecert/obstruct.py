@@ -49,6 +49,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .cstau import (
@@ -443,11 +444,10 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     lines.add("gcd(d, n_k) = 1", "every n_k coprime to d", coprime_d, coprime_d)
 
     pq = p * q
-    spacing = all(
-        Fraction(n_list[k]) > d * n_list[i] - Fraction(d * (d - 1), pq)
-        for k in range(len(n_list))
-        for i in range(k)
-    )
+    # d >= 1, so n_k > d n_i - d(d-1)/pq for all i < k iff it holds for the
+    # largest n_i with i < k
+    slack = Fraction(d * (d - 1), pq)
+    spacing = all(n > d * top - slack for top, n in zip(accumulate(n_list, max), n_list[1:]))
     lines.add(
         "spacing",
         "n_k > d n_i - d(d-1)/pq for all k > i",

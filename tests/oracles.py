@@ -47,7 +47,7 @@ from gaugecert import (
     NonRational,
     NoSolution,
 )
-from gaugecert.exactnum import _poly_div_exact, inverse_mod
+from gaugecert.exactnum import inverse_mod, poly_divmod
 
 
 def sawtooth_convolution(a: int, c: int, m: int) -> int:
@@ -222,7 +222,9 @@ def alexander_torus(p: int, q: int) -> LaurentPoly:
     quo = [0] * (p * q + 2)  # (t^pq - 1)(t - 1), low to high
     quo[0], quo[1], quo[p * q], quo[p * q + 1] = 1, -1, -1, 1
     for m in (p, q):
-        quo = _poly_div_exact(quo, [-1] + [0] * (m - 1) + [1])  # by t^m - 1
+        quo, rem = poly_divmod(quo, [-1] + [0] * (m - 1) + [1])  # by t^m - 1
+        if any(rem):
+            raise InternalCheckError(f"t^{m} - 1 does not divide the torus knot numerator")
     return LaurentPoly(tuple(enumerate(quo))).symmetrized()
 
 

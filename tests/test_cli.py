@@ -242,6 +242,29 @@ def test_c_e_node_cap(tmp_path):
     assert "Traceback" not in r.stderr and "limit of 1000000 Fincke-Pohst nodes" in r.stderr
 
 
+def test_c_e_rank_cap(tmp_path):
+    # a form above MAX_CE_RANK is refused before its cubic elimination
+    n = 201
+    gram = [[-int(i == j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"form": {"rank": n, "gram": gram}, "e": [1] + [0] * (n - 1)}), encoding="utf-8")
+    r = run("c-e", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "C(e) form of rank 201 exceeds the limit 200" in r.stderr
+
+
+def test_selftest_grid_cap(monkeypatch, capsys):
+    # --nz-max above MAX_NZ_GRID is refused before the first cotangent sum
+    from gaugecert import cli
+
+    assert cli.MAX_NZ_GRID == 500
+    monkeypatch.setattr(cli, "cot_cot_sin2_sum", lambda *args: pytest.fail("identity grid started"))
+    for value in ("501", "1000000000000"):
+        assert cli.main(["selftest", "--nz-max", value]) == 2
+        err = capsys.readouterr().err
+        assert f"--nz-max {value} exceeds the limit 500" in err and "Traceback" not in err
+
+
 def test_exit_code_degenerate_transfer():
     assert run("rho-transfer", "6", "1", "--knot", "trefoil").returncode == 2
 

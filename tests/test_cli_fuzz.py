@@ -4,7 +4,8 @@ status 0, 2 or 3 and never show a traceback.
 The argv mixes wrong arity, non-integers, malformed ``a,b`` pairs, JSON
 garbage and booleans for ``--seifert-matrix`` and for problem files, and
 values just above the size caps (``MAX_CHAIN_LENGTH`` for ``plumbing``,
-``MAX_KNOT_ORDER`` for knotted strands).  Other integers stay small:
+``MAX_KNOT_ORDER`` for knotted strands, ``MAX_NZ_GRID`` for ``selftest
+--nz-max``, which must exit with status 2).  Other integers stay small:
 this test checks malformed input, not size.
 """
 
@@ -20,6 +21,7 @@ from gaugecert import cli
 SMALL = st.integers(-12, 12).map(str)
 NON_INTEGERS = st.sampled_from(("x", "1.5", "", "1e3", "0x10", " 3", "--", "-", "true", "NaN"))
 ABOVE_CAPS = st.sampled_from(("1001", "1002", "1009", "1000000000000"))
+ABOVE_GRID = st.sampled_from((str(cli.MAX_NZ_GRID + 1), "1001", "1000000000000"))
 integers = SMALL | NON_INTEGERS | ABOVE_CAPS
 pairs = (
     st.tuples(SMALL, SMALL).map(",".join)
@@ -82,7 +84,9 @@ VERBS = {
         st.tuples(st.just("--knot"), knots),
         st.tuples(st.just("--seifert-matrix"), matrices),
     ),
-    "selftest": _verb(st.just(()), st.tuples(st.just("--nz-max"), st.integers(-3, 8).map(str) | NON_INTEGERS)),
+    "selftest": _verb(
+        st.just(()), st.tuples(st.just("--nz-max"), st.integers(-3, 8).map(str) | NON_INTEGERS | ABOVE_GRID)
+    ),
 }
 
 
@@ -99,6 +103,7 @@ def argvs(draw):
 # a positional whose only token is "--" (CPython 3.11 argparse passes it on as [])
 @example(case=(("nz-check", "2", "--", "--"), []))
 @example(case=(("rho-transfer", "2", "--", "--"), []))
+@example(case=(("selftest", "--nz-max", "1000000000000"), []))
 def test_cli_exits_cleanly_on_malformed_argv(tmp_path_factory, case):
     argv, contents = case
     paths = []
@@ -115,3 +120,14 @@ def test_cli_exits_cleanly_on_malformed_argv(tmp_path_factory, case):
             status = exc.code
     assert status in (0, 2, 3), (argv, status, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if _nz_max(argv) > cli.MAX_NZ_GRID:
+        assert status == 2, (argv, status)
+
+
+def _nz_max(argv) -> int:
+    # the value of the last --nz-max option that argparse reads as an int, else 0
+    values = [tok for opt, tok in zip(argv, argv[1:]) if opt == "--nz-max"]
+    try:
+        return int(values[-1])
+    except (IndexError, ValueError):
+        return 0

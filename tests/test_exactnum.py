@@ -19,7 +19,8 @@ from gaugecert import (
     cyclotomic_poly,
     hj_expand,
 )
-from gaugecert.exactnum import _sawtooth_convolution, continuants, euler_phi
+from gaugecert.exactnum import _sawtooth_convolution, continuants, euler_phi, inverse_mod, poly_divmod
+from gaugecert.lattice import _crt3
 
 from oracles import (
     ORACLE_PREC_ENV,
@@ -111,6 +112,50 @@ def test_inverse_checks_the_norm_under_O():
         "    print('raised')\n"
     )
     assert out == "raised\n"
+
+
+def test_inverse_mod_and_crt():
+    # against the definitions: x u = 1 mod m, and each residue met mod its modulus
+    for m in range(1, 40):
+        for x in range(-m, 2 * m):
+            if gcd(x, m) == 1:
+                u = inverse_mod(x, m)
+                assert 0 <= u < m and (x * u - 1) % m == 0
+            else:
+                with pytest.raises(NoSolution, match=f"{x} is not invertible mod {m}"):
+                    inverse_mod(x, m)
+    rng = random.Random(438)
+    for _ in range(300):
+        moduli = rng.sample((1, 3, 5, 7, 11, 13, 16, 17), 3)
+        residues = tuple((rng.randrange(n), n) for n in moduli)
+        x = _crt3(*residues)
+        assert 0 <= x < moduli[0] * moduli[1] * moduli[2]
+        assert all((x - r) % n == 0 for r, n in residues)
+    with pytest.raises(InternalCheckError, match="CRT moduli 15 and 9 are not coprime"):
+        _crt3((1, 3), (2, 5), (4, 9))
+
+
+def test_inverse_mod_and_crt_refuse_under_O():
+    out = _run_optimized(
+        "from gaugecert import InternalCheckError, NoSolution\n"
+        "from gaugecert.exactnum import inverse_mod\n"
+        "from gaugecert.lattice import _crt3\n"
+        "print(inverse_mod(3, 7), _crt3((1, 3), (4, 5), (6, 7)))\n"
+        "for call, exc in ((lambda: inverse_mod(6, 9), NoSolution), (lambda: _crt3((1, 3), (2, 6)), InternalCheckError)):\n"
+        "    try:\n"
+        "        print('accepted', call())\n"
+        "    except exc as err:\n"
+        "        print(err)\n"
+    )
+    assert out == "5 34\n6 is not invertible mod 9\nCRT moduli 3 and 6 are not coprime\n"
+
+
+def test_poly_divmod():
+    # (t^2 + 1)(t^3 - 2) + 3t - 1 by t^2 + 1, and a dividend below the divisor's degree
+    assert poly_divmod([-3, 3, -2, 1, 0, 1], [1, 0, 1]) == ([-2, 0, 0, 1], [-1, 3])
+    assert poly_divmod([4], [1, 0, 1]) == ([], [4])
+    with pytest.raises(InternalCheckError, match="not monic"):
+        poly_divmod([1, 2, 3], [1, 2])
 
 
 def test_public_preconditions_hold_under_O():

@@ -12,7 +12,7 @@ import pytest
 from oracles import alexander_torus, as_dict, leibniz_det
 
 import gaugecert.knots as knots
-from gaugecert.exactnum import cyclotomic_poly, euler_phi
+from gaugecert.exactnum import CycloElement, cyclotomic_poly, euler_phi
 from gaugecert import (
     BadParameters,
     InternalCheckError,
@@ -97,6 +97,38 @@ def test_nondegenerate_examples():
     assert nondegenerate_at(trefoil, 5, 1)
     one = LaurentPoly(((0, 1),))
     assert nondegenerate_at(one, 17, 3)
+
+
+def _value_in_cyclotomic_ring(poly, a, b):
+    # poly(zeta_a^b) as an element of Z[zeta_a], term by term
+    out = CycloElement.zero(a)
+    for e, c in poly.terms:
+        out = out + CycloElement.zeta(a, b * e).scale(c)
+    return out
+
+
+def test_nondegenerate_matches_cyclotomic_evaluation():
+    # the remainder by Phi_a against evaluation at zeta_a^b in Z[zeta_a], at
+    # every coprime (a, b) with a <= 40; factors Phi_m make zeros common
+    rng = random.Random(4040)
+    polys = [alexander_from_seifert(V) for V in KNOT_CATALOG.values()]
+    polys += [alexander_from_seifert(_random_seifert_matrix(rng, rng.randint(1, 2), magnitude=1)) for _ in range(6)]
+    for _ in range(8):
+        coeffs = [rng.randint(-2, 2) for _ in range(rng.randint(1, 4))]
+        for m in rng.sample(range(1, 41), 2):
+            phi = cyclotomic_poly(m)
+            coeffs = [sum(coeffs[i] * phi[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(phi))
+                      for k in range(len(coeffs) + len(phi) - 1)]
+        polys.append(LaurentPoly(tuple(enumerate(coeffs))).shift(-rng.randint(0, 5)))
+    degenerate = 0
+    for poly in polys:
+        for a in range(1, 41):
+            for b in range(a):
+                if gcd(a, b) == 1:
+                    nondeg = nondegenerate_at(poly, a, b)
+                    assert nondeg == (not _value_in_cyclotomic_ring(poly, a, b).is_zero()), (poly, a, b)
+                    degenerate += not nondeg
+    assert degenerate >= 100
 
 
 def test_torus_knot_root_description():

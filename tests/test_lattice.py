@@ -281,6 +281,47 @@ def test_split_examples():
         detect_orthogonal_split(_diag(-1, -9), (3, 1.5))
 
 
+def _splits_by_definition(G, e):
+    # every standard basis vector u is t e + k with t an integer and
+    # k . e = 0, so t = (u . e) / (e . e); e = 0 splits trivially
+    ee = pairing(G, e, e)
+    units = [[int(i == j) for j in range(G.rank)] for i in range(G.rank)]
+    return ee == 0 or all((pairing(G, u, e) / ee).denominator == 1 for u in units)
+
+
+def test_split_matches_definition():
+    # scaled forms and non-primitive classes; both verdicts occur often
+    rng = random.Random(347)
+    seen = Counter()
+    for _ in range(2000):
+        scale = rng.choice((1, 2, 3, 6))
+        M = _random_negdef(rng, max_rank=5).rows
+        G = GramForm(len(M), tuple(tuple(Fraction(v, scale) for v in row) for row in M), scale)
+        if rng.random() < 0.4:
+            e = [0] * G.rank
+            e[rng.randrange(G.rank)] = rng.choice((1, -1))
+        else:
+            e = [rng.randint(-3, 3) for _ in range(G.rank)]
+        e = tuple(rng.choice((1, 1, 2, 3)) * x for x in e)
+        split = detect_orthogonal_split(G, e)
+        assert split == _splits_by_definition(G, e), (M, scale, e)
+        seen[split, scale > 1, gcd(*e) > 1] += 1
+    assert seen[True, True, False] >= 100 and seen[False, True, False] >= 100, seen
+    assert seen[False, True, True] >= 100 and seen[True, False, True] == 0, seen
+
+
+def test_ce_rank_cap(monkeypatch):
+    # refused before the elimination, which is cubic in the rank
+    import gaugecert.lattice as lattice
+
+    assert lattice.MAX_CE_RANK == 200
+    cap = lattice.MAX_CE_RANK
+    assert len(CeProblem(_diag(*[-1] * cap), (1,) + (0,) * (cap - 1))._bareiss) == cap
+    monkeypatch.setattr(lattice, "bareiss_rows", lambda rows: pytest.fail("eliminated an oversized form"))
+    with pytest.raises(BadParameters, match="rank 201 exceeds the limit 200"):
+        CeProblem(_diag(*[-1] * (cap + 1)), (1,) + (0,) * cap)
+
+
 def test_plumbing_split_with_unimodular_block():
     # diag(-1) block orthogonal to a plumbing: e the unimodular generator
     G = _diag(-1, -2, -3)

@@ -2,6 +2,7 @@
 rho transfer, determinism, JSON serialization and the problem reader."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,28 @@ def test_family_spacing_guard():
     r = check_sfqhs_family(3, 5, 7, (6, 8))
     assert r.conclusion == INCONCLUSIVE
     assert r.line("spacing").verdict == "fail"
+
+
+def test_family_spacing_matches_pairwise_definition():
+    # the running-maximum line against every pair i < k, on lists in any order
+    rng = random.Random(446)
+    verdicts = []
+    for _ in range(400):
+        p, q, d = rng.choice(((3, 5, 7), (3, 5, 1), (5, 7, 3), (3, 7, 11), (1, 1, 9)))
+        n_list = [rng.randint(-20, 60)]
+        for _ in range(rng.randint(0, 5)):
+            step = rng.choice((d * max(n_list), n_list[-1], rng.randint(-20, 60)))
+            n_list.append(step + rng.randint(-2, 2))
+        if rng.random() < 0.3:
+            rng.shuffle(n_list)
+        pairwise = all(
+            Fraction(n_list[k]) > d * n_list[i] - Fraction(d * (d - 1), p * q)
+            for k in range(len(n_list))
+            for i in range(k)
+        )
+        assert check_sfqhs_family(p, q, d, n_list).line("spacing").value == str(pairwise).lower(), (p, q, d, n_list)
+        verdicts.append(pairwise)
+    assert min(verdicts.count(True), verdicts.count(False)) >= 100
 
 
 def test_family_fs_consistency_d1():
