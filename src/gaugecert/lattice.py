@@ -18,18 +18,20 @@ reducible instantons is
 recursion in integers only, over the fraction-free (Bareiss) rows of the
 integer matrix -scale * gram that every form keeps; :class:`CeProblem`
 eliminates once, and that elimination both decides definiteness and
-drives the search.  The search visits one vector of each pair {x, -x} and
-carries each level's centres down, updating them by one term per level;
-Fractions appear only where a form is read in and where a pairing is
-reported.
+drives the search.  The search visits one vector of each pair {x, -x},
+steps each level by two through the x_i = e_i mod 2 (the congruence of
+C(e), coordinate by coordinate), and carries each level's centres down,
+updating them by one term per level; Fractions appear only where a form
+is read in and where a pairing is reported.
 :func:`enumerate_C_e_bruteforce` is an independent box-scan oracle used
 by the test suite and the self-test command, with the
 coordinate box computed exactly from the diagonal of the inverse form.
 Both map each candidate to its class in one pass: the mod-2 test, then
-r.x and r.e once per restriction r, from which the up-to-sign filter and
-the sign that restricts to e on the nose are both read.  A class is
-reported by that pinned sign when exactly one sign restricts on the nose,
-else with its first nonzero coordinate positive; output is sorted.
+r.x once per restriction r, compared with r.e (kept by :class:`CeProblem`),
+from which the up-to-sign filter and the sign that restricts to e on the
+nose are both read.  A class is reported by that pinned sign when exactly
+one sign restricts on the nose, else with its first nonzero coordinate
+positive; output is sorted.
 
 :func:`detect_orthogonal_split` decides whether the lattice is generated
 by e together with the integer orthogonal complement of e, by one gcd:
@@ -197,12 +199,14 @@ class CeProblem:
     :data:`MAX_CE_RANK`.  Definiteness is read off the swap-free Bareiss
     elimination of -scale * gram (every leading minor positive, a zero
     pivot refused), and the eliminated rows are kept for
-    :func:`enumerate_C_e`, so each problem is eliminated once."""
+    :func:`enumerate_C_e`, so each problem is eliminated once; so is r.e
+    for each restriction r, which every candidate's class map reads."""
 
     form: GramForm
     e: tuple[int, ...]
     restrictions: tuple[Restriction, ...] = ()
     _bareiss: list[list[int]] = field(init=False, repr=False, compare=False)
+    _r_e: tuple[int, ...] = field(init=False, repr=False, compare=False)  # r.e per restriction
 
     def __post_init__(self) -> None:
         if self.form.rank > MAX_CE_RANK:
@@ -218,6 +222,7 @@ class CeProblem:
         if any(b[i][i] <= 0 for i in range(self.form.rank)):
             raise NotDefinite("C(e) requires a negative definite form")
         object.__setattr__(self, "_bareiss", b)
+        object.__setattr__(self, "_r_e", tuple(sum(c * ei for c, ei in zip(r.row, self.e)) for r in self.restrictions))
 
 
 def _class_of(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -228,9 +233,8 @@ def _class_of(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...] | None:
     if any((xi - ei) % 2 for xi, ei in zip(x, P.e)):
         return None
     plus = minus = True  # x, respectively -x, restricts to e on the nose
-    for r in P.restrictions:
+    for r, re in zip(P.restrictions, P._r_e):
         rx = sum(c * xi for c, xi in zip(r.row, x))
-        re = sum(c * ei for c, ei in zip(r.row, P.e))
         same, flipped = (rx - re) % r.modulus == 0, (rx + re) % r.modulus == 0
         if not (same or flipped):
             return None
@@ -242,8 +246,8 @@ def _class_of(P: CeProblem, x: tuple[int, ...]) -> tuple[int, ...] | None:
 
 #: Most Fincke-Pohst nodes (the root and each coordinate value tried at
 #: any level, leaves included) one C(e) enumeration may visit: the rank-4
-#: identity form at e = (100, 0, 0, 0) needs 2.11 million, and 56.7
-#: million (34 s) at e = (300, 0, 0, 0).
+#: identity form needs 265,628 (0.2 s) at e = (100, 0, 0, 0), and 7.1
+#: million (about 4 s) at e = (300, 0, 0, 0) (2 CPU x86_64).
 MAX_CE_NODES = 10**6
 
 
@@ -258,19 +262,26 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
     kept by :class:`CeProblem`,
     x.Ax = sum_i y_i^2 / (D_i D_(i+1)), y_i = D_(i+1) x_i + N_i with centre
     N_i = sum_(j>i) b_ij x_j.  Level i admits the x_i with y_i^2 <= D_i W_i
-    (one isqrt), W_i being the budget left times D_(i+1), and passes down
+    (one isqrt), W_i being the budget left times D_(i+1).  Of these it tries
+    only the x_i = e_i mod 2 (e mod 2 is w_2 of the bundle, so the
+    congruence holds coordinate by coordinate), stepping by two from the
+    lower end rounded up to that parity, and passes down
     the exact quotient W_(i-1) = (D_i W_i - y_i^2) / D_(i+1) and the partial
     centres c_k = sum_(j>=i) b_kj x_j, k < i, each updated by b_ki x_i
     (Schnorr-Euchner, Math. Programming 66, 1994), so no centre is summed
     afresh.  The leaf needs y_0^2 = W_0, so only y_0 = +-isqrt(W_0) is tried,
-    and the candidate then goes through the one-pass class map, which
-    applies the mod-2 and restriction filters and picks the representative.
+    and a root whose x_0 = (y_0 - N_0) / D_1 has the parity of e_0 goes
+    through the one-pass class map, which applies the mod-2 and restriction
+    filters and picks the representative.
 
     Both filters and the representative depend only on the class {x, -x},
     so one sign per class is searched: the x whose last nonzero coordinate
     is positive, that is x_i >= 0 at every level whose higher coordinates
-    are all zero (the zero vector is found once).  More than
-    :data:`MAX_CE_NODES` nodes raise :class:`BadParameters`.
+    are all zero (the zero vector is found once).  Both signs of a class
+    have the same parity, so the two rules combine: while free, a level
+    tries 0, 2, 4, ... or 1, 3, 5, ... by the parity of e_i.  A node is
+    counted when it is tried, and more than :data:`MAX_CE_NODES` nodes
+    raise :class:`BadParameters`.
     """
     n = P.form.rank
     budget = -_pair(P.form.rows, P.e, P.e)  # scale * target
@@ -278,31 +289,35 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
         raise InternalCheckError(f"a negative definite form gave e.e = {-budget}/{P.form.scale} > 0")
     if n == 0:
         return ((),)
-    b = P._bareiss
+    b, e = P._bareiss, P.e
     D = [1] + [b[i][i] for i in range(n)]  # all positive: CeProblem checked definiteness
     cols = [[b[k][i] for k in range(i)] for i in range(n)]  # b_ki, k < i
     found: set[tuple[int, ...]] = set()
     x = [0] * n
-    nodes = 1  # the root; each node counts its children as it finds their interval
+    nodes = 0
+
+    def visit(k: int) -> None:
+        nonlocal nodes
+        nodes += k
+        if nodes > MAX_CE_NODES:
+            raise BadParameters(f"C(e) enumeration exceeds the limit of {MAX_CE_NODES} Fincke-Pohst nodes")
 
     def leaf(w: int, N: int, free: bool) -> None:
         s = isqrt(w)  # D_0 = 1; while free N = 0 and +s is the sign searched
         for y in ((s,) if free else {s, -s}) if s * s == w else ():
             m, rem = divmod(y - N, D[1])
-            if not rem and (rep := _class_of(P, (m, *x[1:]))) is not None:
+            if not rem and (m - e[0]) % 2 == 0 and (rep := _class_of(P, (m, *x[1:]))) is not None:
                 found.add(rep)
 
     def descend(i: int, w: int, c: list[int], free: bool) -> None:
         # c[k] = sum_(j>i) b_kj x_j for k <= i; free while x_j = 0 for all j > i
-        nonlocal nodes
         d, N, r2 = D[i + 1], c[i], D[i] * w
         s = isqrt(r2)
         lo, hi = 0 if free else -((s + N) // d), (s - N) // d
-        nodes += hi - lo + 1  # >= 0: the real interval has length 2s/d
-        if nodes > MAX_CE_NODES:
-            raise BadParameters(f"C(e) enumeration exceeds the limit of {MAX_CE_NODES} Fincke-Pohst nodes")
+        lo += (lo - e[i]) % 2  # x_i = e_i mod 2
+        visit((hi - lo) // 2 + 1)  # >= 0: hi >= lo - 2, the real interval having length 2s/d
         col = cols[i]
-        for m in range(lo, hi + 1):
+        for m in range(lo, hi + 1, 2):
             x[i] = m
             y = d * m + N
             w_next, rem = divmod(r2 - y * y, d)
@@ -314,6 +329,7 @@ def enumerate_C_e(P: CeProblem) -> tuple[tuple[int, ...], ...]:
                 descend(i - 1, w_next, [ck + bk * m for ck, bk in zip(c, col)], free and not m)
         x[i] = 0
 
+    visit(1)  # the root; each node counts its children as it finds their interval
     if n == 1:
         leaf(D[1] * budget, 0, True)
     else:

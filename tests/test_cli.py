@@ -228,18 +228,31 @@ def test_seifert_matrix_size_cap(tmp_path):
         assert "Seifert matrix of size 22 exceeds the limit 20" in r.stderr
 
 
+def _identity4_problem(tmp_path, e):
+    gram = [[-int(i == j) for j in range(4)] for i in range(4)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"form": {"rank": 4, "gram": gram}, "e": e}), encoding="utf-8")
+    return path
+
+
 def test_c_e_node_cap(tmp_path):
     # the enumeration is refused once it visits more than MAX_CE_NODES nodes;
-    # the rank-4 identity form at e = (100, 0, 0, 0) needs about 2.11 million
+    # the rank-4 identity form at e = (300, 0, 0, 0) needs 7,104,312
     from gaugecert.lattice import MAX_CE_NODES
 
     assert MAX_CE_NODES == 10**6
-    gram = [[-int(i == j) for j in range(4)] for i in range(4)]
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"form": {"rank": 4, "gram": gram}, "e": [100, 0, 0, 0]}), encoding="utf-8")
-    r = run("c-e", str(path))
+    r = run("c-e", str(_identity4_problem(tmp_path, [300, 0, 0, 0])))
     assert r.returncode == 2 and r.stdout == ""
     assert "Traceback" not in r.stderr and "limit of 1000000 Fincke-Pohst nodes" in r.stderr
+
+
+def test_c_e_under_node_cap(tmp_path):
+    # at e = (100, 0, 0, 0) the same form needs 265,628 nodes, within the cap,
+    # and has the 9,372 classes an uncapped enumeration finds
+    r = run("c-e", str(_identity4_problem(tmp_path, [100, 0, 0, 0])))
+    assert r.returncode == 0 and r.stderr == ""
+    report = json.loads(r.stdout)
+    assert report["count"] == len(report["classes"]) == 9372
 
 
 def test_c_e_rank_cap(tmp_path):

@@ -121,36 +121,43 @@ def _random_negdef(rng, max_rank=4):
             return G
 
 
-def _assert_matches_bruteforce(rng, G, e):
+_G5 = GramForm(5, ((-3, 1, 0, 0, 1), (1, -4, 1, 0, 0), (0, 1, -3, 1, 0), (0, 0, 1, -5, 1), (1, 0, 0, 1, -4)))
+
+
+def _problem(rng, G, e):
+    # one restriction 40% of the time
     restrictions = ()
     if rng.random() < 0.4:
         restrictions = (
             Restriction(rng.randint(2, 6), tuple(rng.randint(-2, 2) for _ in range(G.rank))),
         )
-    P = CeProblem(G, e, restrictions)
-    assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P)
+    return CeProblem(G, e, restrictions)
 
 
-def test_enumeration_matches_bruteforce_randomized():
-    rng = random.Random(97)
+def _randomized_problems(rng):
     for _ in range(60):
         G = _random_negdef(rng)
         e = tuple(rng.randint(-2, 2) for _ in range(G.rank))
         if -pairing(G, e, e) > 20:
             continue
-        _assert_matches_bruteforce(rng, G, e)
+        yield _problem(rng, G, e)
     # the search takes one sign per class, the one whose last nonzero
     # coordinate is positive: e = 0, and e with trailing zero coordinates
     for _ in range(30):
         G = _random_negdef(rng)
-        _assert_matches_bruteforce(rng, G, (0,) * G.rank)
+        yield _problem(rng, G, (0,) * G.rank)
         k = rng.randint(1, G.rank)
         e = tuple(rng.randint(-2, 2) if i < k - 1 else 0 for i in range(G.rank))
         if -pairing(G, e, e) <= 20:
-            _assert_matches_bruteforce(rng, G, e)
+            yield _problem(rng, G, e)
+
+
+def test_enumeration_matches_bruteforce_randomized():
+    rng = random.Random(97)
+    for P in _randomized_problems(rng):
+        assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P)
     # at rank 5, a restriction with odd modulus m and r.e != 0 mod m pins the
     # sign of e; e is reported as given although its first nonzero entry is negative
-    G5 = GramForm(5, ((-3, 1, 0, 0, 1), (1, -4, 1, 0, 0), (0, 1, -3, 1, 0), (0, 0, 1, -5, 1), (1, 0, 0, 1, -4)))
     pinned = 0
     for _ in range(12):
         e = (-rng.randint(1, 2), *(rng.randint(-1, 1) for _ in range(3)), 0)
@@ -158,7 +165,7 @@ def test_enumeration_matches_bruteforce_randomized():
         row = tuple(rng.randint(-2, 2) for _ in range(5))
         if sum(c * v for c, v in zip(row, e)) % m == 0:
             continue
-        P = CeProblem(G5, e, (Restriction(m, row),))
+        P = CeProblem(_G5, e, (Restriction(m, row),))
         classes = enumerate_C_e(P)
         assert classes == enumerate_C_e_bruteforce(P) and e in classes
         pinned += 1
@@ -233,21 +240,89 @@ def test_class_map_matches_definition():
     assert min(kinds["pinned"], kinds["both"], kinds["neither"]) >= 10, kinds
 
 
+def _scaled_problems(scale):
+    # (form, problem) pairs; the problem is None where -scale * e.e > 20
+    rng = random.Random(300 + scale)
+    for _ in range(60):
+        M = _random_negdef(rng).rows
+        G = GramForm(len(M), tuple(tuple(Fraction(v, scale) for v in row) for row in M), scale)
+        e = tuple(rng.randint(-2, 2) for _ in range(G.rank))
+        yield G, (None if -scale * pairing(G, e, e) > 20 else _problem(rng, G, e))
+
+
+def _workload_form(rng, rank):
+    # shaped like the benchmark's lattice inputs: the diagonal -4 ... -10 spread
+    # evenly and shuffled, each pair off the diagonal +-1 with probability 1.5 / rank
+    while True:
+        diag = [round(4 + 6 * k / (rank - 1)) for k in range(rank)]
+        rng.shuffle(diag)
+        A = [[-diag[i] * (i == j) for j in range(rank)] for i in range(rank)]
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if rng.random() < 1.5 / rank:
+                    A[i][j] = A[j][i] = rng.choice((1, -1))
+        G = GramForm(rank, tuple(map(tuple, A)))
+        if is_negative_definite(G):
+            return G
+
+
+def test_workload_shaped_forms_match_definition():
+    # ranks 4 and 5.  Above the highest odd e_i the search passes x_j = 0, so
+    # that level is free and its lower end 0 rounds up to 1; e = (1, 0, ..., 0),
+    # (0, ..., 0, 1) and a unit vector at a random place take this to the leaf,
+    # to the top level and in between
+    rng = random.Random(415)
+    kinds, odd = Counter(), 0
+    for _ in range(80):
+        G = _workload_form(rng, rng.choice((4, 5)))
+        n = G.rank
+        units = {0, n - 1, rng.randrange(n)}
+        es = [tuple(int(i == k) for i in range(n)) for k in sorted(units)]
+        es += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(2)]
+        for e in es:
+            if -pairing(G, e, e) > 60:  # the benchmark draws -e.e in 10 ... 60
+                continue
+            restrictions = []
+            if rng.random() < 0.5:
+                restrictions = [(rng.choice((3, 5, 7)), tuple(rng.randint(-1, 2) for _ in range(n)))]
+            expected, k = _ce_by_definition(G, e, restrictions)
+            assert enumerate_C_e(CeProblem(G, e, tuple(Restriction(m, row) for m, row in restrictions))) == expected
+            kinds += k
+            odd += any(v % 2 for v in e)
+    assert sum(kinds.values()) > 400 and odd > 200, (kinds, odd)
+
+
 @pytest.mark.parametrize("scale", [2, 3, 6])
 def test_enumeration_matches_bruteforce_scaled(scale):
     # -(L^T L) / scale: entries in (1/scale) Z, so the budget divisions run
     # against leading minors of scale * gram
-    rng = random.Random(300 + scale)
     fractional = 0
-    for _ in range(60):
-        M = _random_negdef(rng).rows
-        G = GramForm(len(M), tuple(tuple(Fraction(v, scale) for v in row) for row in M), scale)
+    for G, P in _scaled_problems(scale):
         fractional += any(x.denominator > 1 for row in G.gram for x in row)
-        e = tuple(rng.randint(-2, 2) for _ in range(G.rank))
-        if -scale * pairing(G, e, e) > 20:
-            continue
-        _assert_matches_bruteforce(rng, G, e)
+        if P is not None:
+            assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P)
     assert fractional > 40
+
+
+def test_class_map_sees_only_x_congruent_to_e(monkeypatch):
+    # each level steps through x_i = e_i mod 2 and the leaf drops a root of
+    # the wrong parity, so every candidate reaching the class map has x = e mod 2
+    import gaugecert.lattice as lattice
+
+    seen = []
+    class_of = lattice._class_of
+
+    def spy(P, x):
+        assert all((xi - ei) % 2 == 0 for xi, ei in zip(x, P.e)), (P, x)
+        seen.append(x)
+        return class_of(P, x)
+
+    monkeypatch.setattr(lattice, "_class_of", spy)
+    problems = list(_randomized_problems(random.Random(97)))
+    problems += [P for scale in (2, 3, 6) for _, P in _scaled_problems(scale) if P is not None]
+    odd = sum(any(v % 2 for v in P.e) for P in problems)
+    found = sum(len(enumerate_C_e(P)) for P in problems)
+    assert len(seen) >= found > 200 and odd > 60, (len(seen), found, odd)
 
 
 @pytest.mark.parametrize("d, a", [(1, 6), (7, 3), (5, 30), (31, 2), (1, 1)])
@@ -259,6 +334,27 @@ def test_rank1_scaled_form(d, a):
     for e in ((1,), (3,)):
         P = CeProblem(G, e)
         assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P) == (e,)
+
+
+@pytest.mark.parametrize("G, e, nodes, classes", [
+    (_diag(-1, -1, -1, -1), (100, 0, 0, 0), 265_628, 9372),
+    # rank 1 at scale 3: the root is the only node, the leaf reads x_0 off isqrt
+    (GramForm(1, ((Fraction(-7, 3),),), scale=3), (11,), 1, 1),
+    (GramForm(3, ((Fraction(-7, 6), Fraction(1, 6), 0), (Fraction(1, 6), Fraction(-5, 6), Fraction(1, 6)),
+                  (0, Fraction(1, 6), Fraction(-3, 2))), scale=6), (6, 4, -2), 26, 3),
+    # odd e_i, the top one at a level that is free
+    (_G5, (3, 0, 2, -1, 3), 107, 29),
+])
+def test_ce_node_count(monkeypatch, G, e, nodes, classes):
+    # a node is counted when it is tried, and only the x_i = e_i mod 2 are tried
+    import gaugecert.lattice as lattice
+
+    P = CeProblem(G, e)
+    monkeypatch.setattr(lattice, "MAX_CE_NODES", nodes)
+    assert len(enumerate_C_e(P)) == classes
+    monkeypatch.setattr(lattice, "MAX_CE_NODES", nodes - 1)
+    with pytest.raises(BadParameters, match=f"limit of {nodes - 1} Fincke-Pohst nodes"):
+        enumerate_C_e(P)
 
 
 def test_split_implies_singleton():
