@@ -71,11 +71,8 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    if args.format == "text" and text is not None:
-        out = text
-    else:
-        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(args, payload: dict, text: str) -> None:
+    out = text if args.format == "text" else json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -92,12 +89,17 @@ def _cmd_rho_lens(args) -> tuple[dict, str]:
     return {"value": str(value)}, f"rho(L({args.a},{args.b}), l={args.l}) = {value}\n"
 
 
+def _nz_identity(a: int, c: int) -> Fraction:
+    # the Neumann-Zagier closed form, checked against the exact cotangent sum
+    closed = nz_closed_form(a, c)
+    if Fraction(2, a) * cot_cot_sin2_sum(a, c, 1) != closed:
+        raise InternalCheckError(f"Neumann-Zagier identity fails at (a, c) = ({a}, {c})")
+    return closed
+
+
 def _cmd_nz_check(args) -> tuple[dict, str]:
-    closed = nz_closed_form(args.a, args.c)
-    exact = Fraction(2, args.a) * cot_cot_sin2_sum(args.a, args.c, 1)
-    if exact != closed:
-        raise InternalCheckError(f"identity fails at (a, c) = ({args.a}, {args.c})")
-    payload = {"a": args.a, "c": args.c, "closed_form": str(closed), "exact_sum": str(exact), "match": True}
+    closed = _nz_identity(args.a, args.c)
+    payload = {"a": args.a, "c": args.c, "closed_form": str(closed), "exact_sum": str(closed), "match": True}
     return payload, f"(a, c) = ({args.a},{args.c}): sum = closed form = {closed}\n"
 
 
@@ -120,11 +122,9 @@ def _cmd_tau_bound(args) -> tuple[dict, str]:
     elif args.seifert:
         bound = tau_lower_seifert(SeifertData(tuple(args.seifert)))
         source = "seifert"
-    elif args.denominator is not None:
+    else:
         bound = tau_lower_from_denominator(args.denominator)
         source = f"denominator {args.denominator}"
-    else:
-        raise GaugeCertError("one of --lens, --seifert, --denominator is required")
     return (
         {"bound": str(bound.value), "kind": bound.kind, "source": source},
         f"tau >= {bound.value} ({source})\n",
@@ -159,8 +159,6 @@ def _cmd_check_fs(args) -> tuple[dict, str]:
         with open(args.problem, encoding="utf-8") as fh:
             report = run_problem(json.load(fh))
     else:
-        if not args.pairs:
-            raise GaugeCertError("give Seifert pairs or --problem FILE")
         report = check_fintushel_stern(SeifertData(tuple(args.pairs)))
     return report_to_json_dict(report), render_text(report)
 
@@ -176,9 +174,7 @@ def _cmd_rho_transfer(args) -> tuple[dict, str]:
         value = _field(vars(args), "seifert_matrix", json.loads)
         matrix = _field({"seifert_matrix": value}, "seifert_matrix", SeifertMatrix)
     else:
-        if args.knot not in KNOT_CATALOG:
-            raise GaugeCertError(f"unknown knot {args.knot!r}")
-        matrix = KNOT_CATALOG[args.knot]
+        matrix = KNOT_CATALOG[args.knot or "unknot"]
     value = rho_transfer_surgery(LensSpace(args.a, args.b), matrix)
     return {"value": str(value)}, f"rho = {value}\n"
 
@@ -198,8 +194,7 @@ def _cmd_selftest(args) -> tuple[dict, str]:
     for a in range(2, args.nz_max + 1):
         for c in range(1, a):
             if gcd(a, c) == 1:
-                if Fraction(2, a) * cot_cot_sin2_sum(a, c, 1) != nz_closed_form(a, c):
-                    raise InternalCheckError(f"Neumann-Zagier identity fails at ({a}, {c})")
+                _nz_identity(a, c)
                 n += 1
     checked["nz_identity_pairs"] = n
 
@@ -273,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ind_plus)
 
     p = sub.add_parser("tau-bound", help="certified lower bound for tau")
-    p.add_argument("--lens", type=int, nargs=2, metavar=("A", "B"))
-    p.add_argument("--seifert", type=_pair, nargs="+", metavar="a,b")
-    p.add_argument("--denominator", type=int)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lens", type=int, nargs=2, metavar=("A", "B"))
+    source.add_argument("--seifert", type=_pair, nargs="+", metavar="a,b")
+    source.add_argument("--denominator", type=int)
     p.set_defaults(handler=_cmd_tau_bound)
 
     p = sub.add_parser("plumbing", help="Hirzebruch-Jung expansion and plumbing form of a/b")
@@ -288,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_c_e)
 
     p = sub.add_parser("check-fs", help="definite-bounding obstruction report")
-    p.add_argument("pairs", type=_pair, nargs="*", default=(), metavar="a,b")
-    p.add_argument("--problem", metavar="FILE", help="JSON problem file (seifert / surgery-config)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("pairs", type=_pair, nargs="*", default=(), metavar="a,b")
+    source.add_argument("--problem", metavar="FILE", help="JSON problem file (seifert / surgery-config)")
     p.set_defaults(handler=_cmd_check_fs)
 
     p = sub.add_parser("check-family", help="surgery-family linear independence report")
@@ -302,8 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho-transfer", help="rho of -a/b surgery on a knot, via the lens transfer")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.add_argument("--knot", default="unknot", help=f"one of {sorted(KNOT_CATALOG)}")
-    p.add_argument("--seifert-matrix", metavar="JSON", help="explicit matrix, e.g. '[[1,1],[0,-1]]'")
+    knot = p.add_mutually_exclusive_group()
+    # no default: argparse counts an option whose value is its default
+    # object as absent, so "--knot unknot" could slip past the group
+    knot.add_argument("--knot", choices=sorted(KNOT_CATALOG), help="default: unknot")
+    knot.add_argument("--seifert-matrix", metavar="JSON", help="explicit matrix, e.g. '[[1,1],[0,-1]]'")
     p.set_defaults(handler=_cmd_rho_transfer)
 
     p = sub.add_parser("selftest", help="run the built-in identity and enumeration cross-checks")
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    except (GaugeCertError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (GaugeCertError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args, payload, text)

@@ -371,7 +371,9 @@ class HJExpansion:
     """Minus-sign continued fraction a/b = c_1 - 1/(c_2 - 1/(... - 1/c_m)).
 
     All terms are >= 2, which is the normal form whose associated plumbing
-    is negative definite.
+    is negative definite, and they must evaluate to a/b: the trailing minors
+    K_k = c_k K_(k+1) - K_(k+2) of the (positive) plumbing matrix end in
+    a/b = K_1 / K_2.
     """
 
     a: int
@@ -383,6 +385,8 @@ class HJExpansion:
             raise BadParameters(f"need 0 < b < a with gcd(a, b) = 1, got {self.a}/{self.b}")
         if any(c < 2 for c in self.terms):
             raise BadParameters("Hirzebruch-Jung terms must be >= 2")
+        if (1, *continuants(self.terms[::-1], [1] * (len(self.terms) - 1)))[-2:] != (self.b, self.a):
+            raise BadParameters(f"Hirzebruch-Jung terms {list(self.terms)} do not evaluate to {self.a}/{self.b}")
 
 
 def continuants(diag: Sequence[int], off: Sequence[int]) -> list[int]:
@@ -420,8 +424,8 @@ def hj_expand(a: int, b: int) -> HJExpansion:
         if r == 0:
             break
         a0, b0 = b0, r
-    # the trailing minors K_k = c_k K_(k+1) - K_(k+2) of the (positive)
-    # plumbing matrix end in a/b = K_1 / K_2
-    if (1, *continuants(terms[::-1], [1] * (len(terms) - 1)))[-2:] != (b, a):
-        raise InternalCheckError(f"Hirzebruch-Jung expansion {terms} does not evaluate to {a}/{b}")
-    return HJExpansion(a, b, tuple(terms))
+    # the terms are >= 2 and 0 < b < a, so only the evaluation can fail
+    try:
+        return HJExpansion(a, b, tuple(terms))
+    except BadParameters as exc:
+        raise InternalCheckError(f"Hirzebruch-Jung expansion {terms} does not evaluate to {a}/{b}") from exc

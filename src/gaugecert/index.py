@@ -26,10 +26,11 @@ the canonical reducible bundle has two expressions that must agree:
 both; a disagreement raises :class:`ClosedFormMismatch` and means an
 arithmetic bug, so the reduction is a permanent self-test rather than a
 one-time proof.  For d = 1 this integer is the classical definite-bounding
-obstruction R(a_1, ..., a_n).  :func:`gaugecert.obstruct.check_surgery_config`
-computes each strand's cotangent sum once, in the rho transfer, whose Ind+
-minus the signature sum is the trigonometric form term by term, and
-compares that with :func:`index_closed_form`.
+obstruction R(a_1, ..., a_n).  Each strand's trigonometric term is the
+lens rho invariant rho(L(a_i, b_i), b_i)/2 (:func:`gaugecert.lens.rho_lens`),
+one cotangent sum per strand.  :func:`gaugecert.obstruct.check_surgery_config`
+reads its Ind+ as :func:`r_invariant` plus the strands' signatures, so the
+two forms are compared here and nowhere else.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, ClosedFormMismatch, Degenerate, NotHomologySphere
-from .exactnum import cot_cot_sin2_sum
+from .lens import LensSpace, rho_lens
 from .seifert import SeifertData, d_invariant
 
 __all__ = [
@@ -112,13 +113,12 @@ def index_closed_form(S: SeifertData) -> int:
 
 def _ind_plus_both_forms(S: SeifertData, d: int) -> int:
     closed = index_closed_form(S)
-    trig = Fraction(2 * d, S.a_product) - 3 + S.n
+    # twice the trigonometric form, so that each strand adds its lens rho as is
+    twice_trig = Fraction(4 * d, S.a_product) + 2 * (S.n - 3)
     for a, b in S.pairs:
-        trig += Fraction(2, a) * cot_cot_sin2_sum(a, b, b)
-    if trig != closed:
-        raise ClosedFormMismatch(
-            f"index forms disagree for {S}: trig {trig} vs closed {closed}"
-        )
+        twice_trig += rho_lens(LensSpace(a, b), b)
+    if twice_trig != 2 * closed:
+        raise ClosedFormMismatch(f"index transfer mismatch for {S}: trig {twice_trig / 2} vs closed {closed}")
     return closed
 
 

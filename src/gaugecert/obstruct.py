@@ -30,16 +30,16 @@ transferred from the lens space L(a, b mod a):
 where the sigmas are Levine-Tristram signatures of the strand knot (zero
 for unknots); the two are equal, so sigma(a, b) is computed and doubled.
 For unknotted strands this equals rho(L(a, -b mod a)) at the meridian
-holonomy, which reproduces the Seifert index formula; the cross-check
-Ind+ = R + sum of signatures is made on every run.  Each
-strand's cotangent sum is computed once, in the transfer: Ind+ minus the
-signature sum is R's trigonometric form term by term, and it is compared
-with R's closed form 2n - 3 - 2 sum K_i, so a wrong sum raises an "index
-transfer mismatch" :class:`InternalCheckError` (exit status 3).  Each
-knotted strand's signature is computed once: its Hermitian form is
-singular exactly where the Alexander polynomial vanishes, so whether the
-signature raised :class:`SingularPivot` is the strand's nondegeneracy
-line, and the transfer and the cross-check both read the signature.
+holonomy, which reproduces the Seifert index formula.  In Ind+ each
+rho_i enters with weight -1/2, so Ind+ = R + sum of signatures, and the
+checker reads it that way: :func:`gaugecert.index.r_invariant` compares
+R's trigonometric form (one cotangent sum per strand, in the lens rho)
+with its closed form 2n - 3 - 2 sum K_i on every run, and a wrong sum
+raises an "index transfer mismatch" :class:`ClosedFormMismatch` (exit
+status 3).  Each knotted strand's signature is computed once: its
+Hermitian form is singular exactly where the Alexander polynomial
+vanishes, so whether the signature raised :class:`SingularPivot` is the
+strand's nondegeneracy line, and Ind+ reads the same signature.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .cstau import (
     tau_lower_seifert,
 )
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
-from .index import BoundaryTerm, IndexInputs, ind_plus_general, ind_plus_seifert_qhs, index_closed_form
+from .index import ind_plus_seifert_qhs, r_invariant
 from .knots import KNOT_CATALOG, SeifertMatrix, lt_signature
 from .lattice import CeProblem, GramForm, Restriction, detect_orthogonal_split, enumerate_C_e, sfqhs_reducible_count
 from .lens import LensSpace, rho_lens
@@ -190,6 +190,8 @@ class Strand:
             object.__setattr__(self, "seifert_matrix", KNOT_CATALOG[self.knot])
         elif self.knot == "unknot" and self.seifert_matrix.size > 0:
             object.__setattr__(self, "knot", "custom")
+        elif self.knot in KNOT_CATALOG and KNOT_CATALOG[self.knot] != self.seifert_matrix:
+            raise Degenerate(f"knot {self.knot!r} is given with a Seifert matrix that is not its own")
         object.__setattr__(self, "cs_denominators", frozenset(map(operator.index, self.cs_denominators)))
 
     @property
@@ -211,7 +213,7 @@ def rho_transfer_surgery(L: LensSpace, V: SeifertMatrix) -> Fraction:
     :class:`Degenerate` when the flat connection is degenerate, i.e. when
     the Alexander polynomial vanishes at the holonomy root of unity.
     """
-    return _transfer(L, _signature(V, L.a, L.b))
+    return 2 * _signature(V, L.a, L.b) + rho_lens(L, meridian_holonomy(L.a, L.b))
 
 
 def _signature(V: SeifertMatrix, a: int, b: int) -> int:
@@ -225,10 +227,6 @@ def _signature(V: SeifertMatrix, a: int, b: int) -> int:
         raise Degenerate(
             f"Alexander polynomial vanishes at exp(2 pi i {b}/{a}); flat connection degenerate"
         ) from exc
-
-
-def _transfer(L: LensSpace, sigma: int) -> Fraction:
-    return rho_lens(L, meridian_holonomy(L.a, L.b)) + 2 * sigma
 
 
 def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> TauBound | None:
@@ -285,7 +283,7 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
 
     Verifies: d = 1 (after orienting so d > 0, which is recorded), at most
     one multiplicity even, nondegeneracy of every strand connection, the
-    index value (the signature-corrected transfer against R's closed form),
+    index value Ind+ = R + sum of signatures (R's two forms compared),
     the strict window 0 < p_1 < tau-hat <= 4, and the singleton count of
     reducibles; the contradiction with the required even count greater
     than 1 then yields the conclusion.
@@ -338,21 +336,11 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
         lines.add("rho transfer", "rho via flat cobordism to the lens space", str(degenerate), False)
         return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
 
-    # index, via the signature-corrected transfer, cross-checked against R's
-    # closed form; Ind+ minus the signature sum is R's trigonometric form
-    # term by term, so each strand's cotangent sum (in rho_lens) is computed
-    # once.  rho of each boundary piece in the d > 0 orientation:
-    rhos = [-_transfer(LensSpace(s.a, s.b), sig) for s, sig in zip(strands, sigmas)]
-    p1 = Fraction(d, a)
-    ind = ind_plus_general(IndexInputs(p1, tuple(BoundaryTerm(1, rho) for rho in rhos)))
-    r_value = index_closed_form(S)
     # each knotted strand shifts the index by its Levine-Tristram signature:
-    # rho_i = -(rho_lens + 2 sigma_i) enters with weight -1/2
-    sig_sum = sum(sigmas)
-    if ind != r_value + sig_sum:
-        raise InternalCheckError(
-            f"index transfer mismatch: Ind+ = {ind}, R = {r_value}, signature sum {sig_sum}"
-        )
+    # rho_i = -(rho_lens + 2 sigma_i) enters Ind+ with weight -1/2, and R
+    # compares its trigonometric form with its closed form
+    ind = r_invariant(S) + sum(sigmas)
+    p1 = Fraction(d, a)
     lines.add("Ind+", "2 p_1 - 3 + (1/2) sum (3 - h_i - rho_i) = R + sum of signatures", ind, True)
     lines.add("Ind+ >= 0", "index hypothesis of the parity theorem", ind >= 0, ind >= 0)
     lines.add("Ind+ > 0", "positivity threshold of the definite-bounding obstruction", ind > 0, ind > 0)
@@ -561,7 +549,7 @@ def _strand_from_json(data: dict) -> Strand:
     return Strand(
         a=operator.index(data["a"]),
         b=operator.index(data["b"]),
-        knot=data.get("knot", "unknot" if matrix is None else "custom"),
+        knot=data.get("knot", "unknot"),
         seifert_matrix=matrix,
         cs_denominators=frozenset(data.get("cs_denominators", ())),
         provenance=data.get("provenance", ""),

@@ -151,6 +151,9 @@ MALFORMED_FILES = [
                   "strands": [STRANDS[0], {**FIGURE8, "knot": {"name": "figure8"}}, STRANDS[2]]}, "'knot'"),
     ("check-fs", {"kind": "surgery-config",
                   "strands": [STRANDS[0], {**FIGURE8, "provenance": {"ref": 1}}, STRANDS[2]]}, "'provenance'"),
+    # a catalog knot name with another knot's Seifert matrix
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {**FIGURE8, "seifert_matrix": [[-1, 1], [0, -1]]}, STRANDS[2]]}, "'strands'"),
 ]
 
 
@@ -181,6 +184,31 @@ def test_exit_code_malformed():
         r = run(*argv)
         assert r.returncode == 2 and r.stdout == ""
         assert "Traceback" not in r.stderr and "got '--'" in r.stderr
+
+
+def test_conflicting_options_refused(tmp_path, capsys):
+    # options that name the same input twice are refused, not silently resolved
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": "seifert", "pairs": [[2, 1], [3, 1], [5, -4]]}), encoding="utf-8")
+    for argv, message in (
+        (("tau-bound", "--lens", "11", "9", "--denominator", "24"), "not allowed with argument --lens"),
+        (("tau-bound",), "one of the arguments --lens --seifert --denominator is required"),
+        (("rho-transfer", "3", "1", "--knot", "trefoil", "--seifert-matrix", "[[1, 1], [0, -1]]"),
+         "not allowed with argument --knot"),
+        (("rho-transfer", "3", "1", "--knot", "figure-eight"), "invalid choice: 'figure-eight'"),
+        (("check-fs", "2,1", "3,1", "5,-4", "--problem", str(path)), "not allowed with argument a,b"),
+        (("check-fs",), "one of the arguments a,b --problem is required"),
+    ):
+        r = run(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr and message in r.stderr
+    # in process, "unknot" can be the very string object argparse would hold
+    # as --knot's default, and a default value does not count as given
+    from gaugecert import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rho-transfer", "3", "1", "--knot", "unknot", "--seifert-matrix", "[[1, 1], [0, -1]]"])
+    assert exc.value.code == 2 and "not allowed with argument --knot" in capsys.readouterr().err
 
 
 def test_plumbing_chain_cap():

@@ -381,6 +381,16 @@ def test_hj_errors():
         hj_expand(5, 5)
 
 
+def test_hj_expansion_must_evaluate_to_a_over_b():
+    # [2, 2] is 3/2, whose plumbing has determinant 3, not 7
+    from gaugecert.exactnum import HJExpansion
+
+    assert HJExpansion(7, 2, (4, 2)) == hj_expand(7, 2)
+    for terms in ((2, 2), (4,), (), (4, 2, 2)):
+        with pytest.raises(BadParameters, match="do not evaluate to 7/2"):
+            HJExpansion(7, 2, terms)
+
+
 # ---------------------------------------------------------------------------
 # float oracle
 # ---------------------------------------------------------------------------

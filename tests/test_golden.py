@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import gaugecert.cli as cli
-import gaugecert.index as index
 import gaugecert.lens as lens
 import gaugecert.obstruct as obstruct
 from gaugecert import CycloElement, SeifertData
@@ -163,13 +162,13 @@ def _family_3_5_7():
     return obstruct.check_sfqhs_family(3, 5, 7, (6, 48, 342, 2400))
 
 
-# check-fs computes each strand's sum once, inside the rho transfer;
-# check-family computes it once per strand of the largest n_k, in both index forms
+# every cotangent sum goes through lens.rho_lens: check-fs computes each
+# strand's sum once, in R's trigonometric form, and check-family once per
+# strand of the largest n_k, in the same comparison of the two index forms
 @pytest.mark.parametrize("check", [_fs_2_3_5, _figure8_obstructed, _family_3_5_7])
 def test_cotangent_sum_once_per_strand(monkeypatch, check):
     calls = []
-    for module in (lens, index):
-        fn = module.cot_cot_sin2_sum
-        monkeypatch.setattr(module, "cot_cot_sin2_sum", lambda *args, fn=fn: calls.append(args) or fn(*args))
+    fn = lens.cot_cot_sin2_sum
+    monkeypatch.setattr(lens, "cot_cot_sin2_sum", lambda *args: calls.append(args) or fn(*args))
     check()
     assert len(calls) == 3

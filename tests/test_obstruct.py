@@ -271,6 +271,16 @@ def test_degenerate_strand_reports_failed_hypothesis():
         r.line("Ind+")
 
 
+def test_strand_names_its_knot_once():
+    # a catalog name with another knot's matrix would compute with the matrix
+    # but take the name's Chern-Simons denominators and echo only the name
+    with pytest.raises(Degenerate, match="'figure8'"):
+        Strand(3, -1, knot="figure8", seifert_matrix=KNOT_CATALOG["trefoil"])
+    assert Strand(3, -1, knot="figure8", seifert_matrix=KNOT_CATALOG["figure8"]) == Strand(3, -1, knot="figure8")
+    assert Strand(3, -1, seifert_matrix=KNOT_CATALOG["trefoil"]).knot == "custom"
+    assert Strand(3, -1, knot="mine", seifert_matrix=KNOT_CATALOG["trefoil"]).knot == "mine"
+
+
 def test_custom_seifert_matrix_strand():
     strands = (
         Strand(2, 1),
