@@ -139,7 +139,7 @@ def _cmd_plumbing(args) -> tuple[dict, str]:
         "a": args.a,
         "b": args.b,
         "terms": list(exp.terms),
-        "gram": [[int(x) for x in row] for row in G.gram],
+        "gram": [list(row) for row in G.rows],
         "negative_definite": is_negative_definite(G),
         "det": str(det),
     }
@@ -323,13 +323,13 @@ def main(argv=None) -> int:
         parser.error(f"argument {missing[0]}: expected a value, got '--'")
     try:
         payload, text = args.handler(args)
+        _emit(args, payload, text)
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except (GaugeCertError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, text)
     return 0
 
 

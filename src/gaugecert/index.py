@@ -68,7 +68,7 @@ class BoundaryTerm:
         if self.h < 0:
             raise BadParameters("h = dim H^0 must be >= 0")
         if self.trivial and (self.h != 3 or self.rho != 0):
-            raise ValueError("a trivial limit has h = 3 and rho = 0")
+            raise BadParameters("a trivial limit has h = 3 and rho = 0")
 
 
 @dataclass(frozen=True)

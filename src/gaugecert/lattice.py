@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -75,40 +75,38 @@ __all__ = [
 class GramForm:
     """Symmetric rational pairing with values in (1/scale) Z.
 
-    Rows may mix ints and Fractions; both are exact rationals.  Symmetry
-    and integrality of scale * gram are validated unless ``check=False``,
-    which constructors that guarantee a symmetric integer matrix at scale 1
-    use (plumbings, where re-checking every entry of a large sparse matrix
-    would dominate).  The integer matrix scale * gram is kept as ``rows``;
-    all arithmetic on the form reads it.  Whether ``rows`` is tridiagonal,
-    and then its leading minors, are found once per form.
+    Integer entries are kept as they are, any other becomes a Fraction, and
+    scale * gram must be a symmetric integer matrix: it is kept as ``rows``,
+    which all arithmetic on the form reads.  Whether ``rows`` is
+    tridiagonal, and then its leading minors, are found once per form.
     """
 
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
     scale: int = 1
-    check: InitVar[bool] = True
     rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "rank", operator.index(self.rank))
-        object.__setattr__(self, "scale", operator.index(self.scale))
-        if self.scale < 1 or not (check or self.scale == 1):
-            raise BadParameters("scale must be a positive integer, and 1 for an unchecked form")
+        scale = operator.index(self.scale)
+        object.__setattr__(self, "scale", scale)
+        if scale < 1:
+            raise BadParameters("scale must be a positive integer")
         if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
             raise BadParameters("gram matrix shape does not match rank")
-        rows = self.gram
-        if check:
-            g = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in self.gram)
-            scaled = [[self.scale * x for x in row] for row in g]
-            for i in range(self.rank):
-                for j in range(i, self.rank):
-                    if g[i][j] != g[j][i]:
-                        raise BadParameters("gram matrix must be symmetric")
-                    if scaled[i][j].denominator != 1:
-                        raise BadParameters("scale * gram must be integral")
-            object.__setattr__(self, "gram", g)
-            rows = tuple(tuple(x.numerator for x in row) for row in scaled)
+        gram = tuple(map(tuple, self.gram))
+        if scale == 1 and all(set(map(type, row)) <= {int} for row in gram):
+            rows = gram
+        else:
+            gram = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in gram)
+            # scale * x is an integer iff the reduced denominator of x divides scale
+            if any(scale % x.denominator for row in gram for x in row):
+                raise BadParameters("scale * gram must be integral")
+            rows = tuple(tuple(scale // x.denominator * x.numerator for x in row) for row in gram)
+        # scale >= 1, so the rational matrix is symmetric iff the integer one is
+        if rows != tuple(zip(*rows)):
+            raise BadParameters("gram matrix must be symmetric")
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "rows", rows)
 
     @functools.cached_property
@@ -166,7 +164,7 @@ def plumbing_gram(h: HJExpansion) -> GramForm:
         if i + 1 < m:
             row[i + 1] = 1
         rows.append(tuple(row))
-    return GramForm(rank=m, gram=tuple(rows), scale=1, check=False)
+    return GramForm(rank=m, gram=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

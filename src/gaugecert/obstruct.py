@@ -629,8 +629,10 @@ def run_problem(data: dict) -> ObstructionReport:
 
 
 def _gram_form(data: dict) -> GramForm:
-    gram = tuple(tuple(map(_rational, row)) for row in data["gram"])
-    return GramForm(data["rank"], gram, data.get("scale", 1))
+    gram = data["gram"]  # a JSON object in its place, or a row's, would be read as its keys
+    if not (isinstance(gram, list) and all(isinstance(row, list) for row in gram)):
+        raise TypeError("gram and each of its rows must be JSON arrays")
+    return GramForm(data["rank"], tuple(tuple(map(_rational, row)) for row in gram), data.get("scale", 1))
 
 
 def read_ce_problem(data: dict) -> CeProblem:

@@ -123,6 +123,14 @@ def test_output_deterministic(tmp_path):
     assert out.read_text(encoding="utf-8") == a.stdout
 
 
+def test_output_to_bad_path(tmp_path):
+    # a directory, and a file whose parent is missing: exit 2 naming the path
+    for out in (tmp_path, tmp_path / "missing" / "report.json"):
+        r = run("--output", str(out), "rho-lens", "3", "1", "1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr and str(out) in r.stderr
+
+
 FORM = {"rank": 1, "gram": [["-1"]]}
 FIGURE8 = {"a": 3, "b": -1, "knot": "figure8", "provenance": "test"}
 STRANDS = [{"a": 2, "b": 1}, FIGURE8, {"a": 11, "b": -2}]
@@ -154,6 +162,9 @@ MALFORMED_FILES = [
     # a catalog knot name with another knot's Seifert matrix
     ("check-fs", {"kind": "surgery-config",
                   "strands": [STRANDS[0], {**FIGURE8, "seifert_matrix": [[-1, 1], [0, -1]]}, STRANDS[2]]}, "'strands'"),
+    # a JSON object in place of a gram row, or of the matrix, is not read as its keys
+    ("c-e", {"form": {"rank": 1, "gram": [{"-3": 0}]}, "e": [1]}, "'form'"),
+    ("c-e", {"form": {"rank": 1, "gram": {"-3": 0}}, "e": [1]}, "'form'"),
 ]
 
 

@@ -5,8 +5,10 @@ The argv mixes wrong arity, non-integers, malformed ``a,b`` pairs, JSON
 garbage and booleans for ``--seifert-matrix`` and for problem files, and
 values just above the size caps (``MAX_CHAIN_LENGTH`` for ``plumbing``,
 ``MAX_KNOT_ORDER`` for knotted strands, ``MAX_NZ_GRID`` for ``selftest
---nz-max``, which must exit with status 2).  Other integers stay small:
-this test checks malformed input, not size.
+--nz-max``, which must exit with status 2).  ``--output`` may name a
+directory or a file whose parent is missing; then nothing is printed and
+the status is 2 or 3.  Other integers stay small: this test checks
+malformed input, not size.
 """
 
 import contextlib
@@ -47,6 +49,7 @@ files = (
 ).map(json.dumps) | st.sampled_from(("", "{", "not json"))
 
 FILE = "FILE"  # replaced by the path of a drawn problem file
+BAD_OUTPUTS = {"DIR": lambda tmp: tmp, "MISSING": lambda tmp: tmp / "missing" / "report.json"}
 
 
 def _verb(positional, *options):
@@ -95,7 +98,9 @@ def argvs(draw):
     verb = draw(st.sampled_from(sorted(VERBS)))
     args = draw(VERBS[verb])
     contents = [draw(files) for arg in args if arg == FILE]
-    return (*draw(st.sampled_from(((), ("--format", "text"), ("--format", "yaml")))), verb, *args), contents
+    output = draw(st.sampled_from(((), *(("--output", bad) for bad in BAD_OUTPUTS))))
+    formats = draw(st.sampled_from(((), ("--format", "text"), ("--format", "yaml"))))
+    return (*output, *formats, verb, *args), contents
 
 
 @settings(max_examples=400, deadline=None)
@@ -111,7 +116,10 @@ def test_cli_exits_cleanly_on_malformed_argv(tmp_path_factory, case):
         paths.append(tmp_path_factory.mktemp("fuzz") / "problem.json")
         paths[-1].write_text(text, encoding="utf-8")
     paths = iter(paths)
+    bad_output = argv[0] == "--output"
     argv = [str(next(paths)) if arg == FILE else arg for arg in argv]
+    if bad_output:
+        argv[1] = str(BAD_OUTPUTS[argv[1]](tmp_path_factory.mktemp("out")))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -120,6 +128,8 @@ def test_cli_exits_cleanly_on_malformed_argv(tmp_path_factory, case):
             status = exc.code
     assert status in (0, 2, 3), (argv, status, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if bad_output:
+        assert status in (2, 3) and out.getvalue() == "", (argv, status)
     if _nz_max(argv) > cli.MAX_NZ_GRID:
         assert status == 2, (argv, status)
 

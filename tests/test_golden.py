@@ -9,7 +9,8 @@ report before the enumeration searched one sign per class; the remaining
 README examples and the Inconclusive Sigma(2,3,7) report before the C(e)
 class map was made one pass; the degenerate genus-2 and the genus-3
 surgery configurations before the signatures were read from one integer
-polynomial.  Each output must stay byte identical; the call counts pin
+polynomial; the scale-6 C(e) report before every form was validated by one
+integer route.  Each output must stay byte identical; the call counts pin
 that each knotted strand's signature, which also decides its
 nondegeneracy, and each strand's cotangent sum are computed once, and
 that the knotted reports build no element of Z[zeta_a]."""
@@ -56,6 +57,9 @@ REPORTS = [
     # five classes, three with a pinned sign, all with last coordinate 0: where the
     # one-sign-per-class search starts
     pytest.param(["c-e", "ce_rank6.problem.json"], "ce_rank6.report.json", id="c-e-rank6"),
+    # "num/den" entries at scale 6 beside a JSON integer; r.e = 4 mod 6 pins every class's
+    # sign, one of them with a negative first coordinate
+    pytest.param(["c-e", "ce_scale6.problem.json"], "ce_scale6.report.json", id="c-e-scale6"),
     pytest.param(["plumbing", "7", "2"], "plumbing_7_2.report.json", id="plumbing-7-2"),
     pytest.param(["rho-transfer", "3", "1", "--seifert-matrix", GENUS2], "rho_transfer_genus2.report.json",
                  id="rho-transfer-genus2"),

@@ -10,6 +10,7 @@ import pytest
 from gaugecert import (
     BoundaryTerm,
     Degenerate,
+    GaugeCertError,
     IndexInputs,
     LensSpace,
     NotHomologySphere,
@@ -33,7 +34,7 @@ def test_ind_plus_general_trivial():
 
 
 def test_boundary_term_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(GaugeCertError):
         BoundaryTerm(1, Fraction(0), trivial=True)
 
 

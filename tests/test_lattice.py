@@ -68,10 +68,63 @@ def test_gram_validation():
     assert G.rows == ((-1,),)
     with pytest.raises(TypeError):
         GramForm(1, ((-1,),), scale=1.5)
+    with pytest.raises(TypeError):  # every form is validated: there is no switch
+        GramForm(1, ((-1,),), check=False)
+    assert GramForm(2, [[-2, 1], [1, -2]]) == GramForm(2, ((-2, 1), (1, -2)))
     with pytest.raises(TypeError):
         CeProblem(_diag(-1), (1.7,))
     with pytest.raises(TypeError):
         Restriction(5, ("1",))
+
+
+def _gram_by_definition(rank, gram, scale):
+    # symmetry and integrality of scale * gram, entry pair by entry pair (i <= j)
+    g = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in gram)
+    for i in range(rank):
+        for j in range(i, rank):
+            if g[i][j] != g[j][i] or (scale * g[i][j]).denominator != 1:
+                raise BadParameters("not a symmetric form in (1/scale) Z")
+    return g, tuple(tuple(int(scale * x) for x in row) for row in g)
+
+
+def test_gram_validation_matches_definition():
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(3000):
+        rank, scale = rng.randint(0, 5), rng.randint(1, 6)
+        # an entry is an int, or a Fraction whose denominator divides scale unless
+        # the draw makes it non-integral
+        integral = rng.random() < 0.7
+
+        def entry():
+            if rng.random() < 0.4:
+                return rng.randint(-9, 9)
+            d = rng.choice([k for k in range(1, 7) if scale % k == 0] if integral else range(1, 8))
+            return Fraction(rng.randint(-20, 20), d)
+
+        rows = [[entry() for _ in range(rank)] for _ in range(rank)]
+        if rng.random() < 0.7:
+            for i in range(rank):
+                for j in range(i):
+                    rows[i][j] = rows[j][i]
+        gram = tuple(map(tuple, rows))
+        entries = [x for row in gram for x in row]
+        seen[gram == tuple(zip(*gram)), all((scale * x).denominator == 1 for x in entries)] += 1
+        seen["mixed"] += {int, Fraction} <= set(map(type, entries))
+        try:
+            expected = _gram_by_definition(rank, gram, scale)
+        except BadParameters:
+            expected = None
+        if expected is None:
+            with pytest.raises(BadParameters):
+                GramForm(rank, gram, scale)
+            continue
+        G = GramForm(rank, gram, scale)
+        assert (G.gram, G.rows) == expected
+        assert [list(map(type, row)) for row in G.gram] == [list(map(type, row)) for row in expected[0]]
+        assert all(type(x) is int for row in G.rows for x in row)
+    # symmetric or not, integral or not, and int entries mixed with Fractions
+    assert len(seen) == 5 and min(seen.values()) > 150, seen
 
 
 def test_plumbing_examples():

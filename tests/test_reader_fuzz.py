@@ -14,6 +14,7 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,19 @@ def mutated_golden(draw):
     return problem
 
 
+@st.composite
+def golden_with_object(draw):
+    # a JSON object where a golden problem has an array, keyed by the array's
+    # entries (strings as they are, anything else as its JSON text), so that
+    # iterating over it gives the entries or their text back
+    problem = json.loads(json.dumps(draw(st.sampled_from(PROBLEMS))))
+    path = draw(st.sampled_from([p for p in _paths(problem) if isinstance(reduce(getitem, p, problem), list)]))
+    array = reduce(getitem, path, problem)
+    obj = {x if isinstance(x, str) else json.dumps(x): draw(json_values) for x in array}
+    reduce(getitem, path[:-1], problem)[path[-1]] = obj
+    return problem
+
+
 @settings(max_examples=200, deadline=None)
 @given(json_values | problems | mutated_golden())
 def test_readers_raise_only_gaugecert_errors(data):
@@ -77,3 +91,11 @@ def test_readers_raise_only_gaugecert_errors(data):
             read(data)
         except GaugeCertError:
             pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(golden_with_object())
+def test_object_in_place_of_array_is_refused(data):
+    for read in (run_problem, read_ce_problem):
+        with pytest.raises(GaugeCertError):
+            read(data)
