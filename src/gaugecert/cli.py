@@ -31,7 +31,7 @@ from . import __version__
 from .errors import GaugeCertError, InternalCheckError
 from .exactnum import cot_cot_sin2_sum, hj_expand
 from .index import ind_plus_seifert_qhs, r_invariant
-from .knots import KNOT_CATALOG, SeifertMatrix
+from .knots import KNOT_CATALOG
 from .lattice import (
     CeProblem,
     GramForm,
@@ -45,6 +45,7 @@ from .lens import LensSpace, nz_closed_form, rho_lens
 from .cstau import tau_lower_from_denominator, tau_lower_lens, tau_lower_seifert
 from .obstruct import (
     _field,
+    _seifert_matrix,
     check_fintushel_stern,
     check_sfqhs_family,
     read_ce_problem,
@@ -169,10 +170,10 @@ def _cmd_check_family(args) -> tuple[dict, str]:
 
 
 def _cmd_rho_transfer(args) -> tuple[dict, str]:
-    if args.seifert_matrix:
+    if args.seifert_matrix is not None:
         # parsed first, so that the boolean check sees the matrix
         value = _field(vars(args), "seifert_matrix", json.loads)
-        matrix = _field({"seifert_matrix": value}, "seifert_matrix", SeifertMatrix)
+        matrix = _field({"seifert_matrix": value}, "seifert_matrix", _seifert_matrix)
     else:
         matrix = KNOT_CATALOG[args.knot or "unknot"]
     value = rho_transfer_surgery(LensSpace(args.a, args.b), matrix)

@@ -25,9 +25,11 @@ The independent oracles for the cotangent sums (the direct O(a) sawtooth
 sum, the term-by-term evaluation in Q(zeta_a) and an mpmath float sum)
 live with the tests, not here.
 
-Everything here is immutable and side-effect free; the only shared state
-is the memo table for cyclotomic polynomials, which is guarded by
-``functools.lru_cache`` and therefore safe to share between threads.
+Everything here is immutable and side-effect free.  The only shared state
+is the memo tables, each a ``functools.lru_cache`` and therefore safe to
+share between threads: those of the cyclotomic polynomials and their power
+tables, and the last 1024 cotangent sums, so that a process computes and
+checks each distinct reduced sum once while it stays in that memo.
 """
 
 from __future__ import annotations
@@ -339,13 +341,15 @@ def cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
     reduced to one floor sum and computed in O(log a) integer steps by a
     recursion that runs like Euclid's algorithm (Rademacher-Grosswald,
     *Dedekind Sums*, 1972; Knuth, TAOCP vol. 2, 3.3.3).  E is even because
-    s is odd; E(a - l), a different floor sum, is computed on every call
+    s is odd; E(a - l), a different floor sum, is computed with each sum
     and must equal E(l), else :class:`InternalCheckError` is raised.
 
     Requires gcd(b, a) = 1; l is reduced mod a and the sum is 0 for
-    l = 0 mod a.  The tests check this route against three independent
-    oracles: the direct O(a) sum for E(m), the term-by-term evaluation in
-    Q(zeta_a), and an mpmath float sum.
+    l = 0 mod a.  The arguments are checked on every call, and the last
+    1024 checked sums are kept, keyed on (a, b mod a, l mod a).  The tests
+    check this route against three independent oracles: the direct O(a)
+    sum for E(m), the term-by-term evaluation in Q(zeta_a), and an mpmath
+    float sum.
     """
     if a < 1:
         raise BadParameters("a must be positive")
@@ -355,6 +359,12 @@ def cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
         return Fraction(0)
     if gcd(b, a) != 1:
         raise BadParameters(f"b = {b} is not coprime to a = {a}")
+    return _cot_cot_sin2_sum(a, b, l)
+
+
+@functools.lru_cache(maxsize=1024)
+def _cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
+    # the sum for 0 < b, l < a with gcd(b, a) = 1; only checked values are kept
     c = inverse_mod(b, a)
     e_l = _sawtooth_convolution(a, c, l)
     if e_l != _sawtooth_convolution(a, c, a - l):

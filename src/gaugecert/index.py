@@ -28,9 +28,11 @@ arithmetic bug, so the reduction is a permanent self-test rather than a
 one-time proof.  For d = 1 this integer is the classical definite-bounding
 obstruction R(a_1, ..., a_n).  Each strand's trigonometric term is the
 lens rho invariant rho(L(a_i, b_i), b_i)/2 (:func:`gaugecert.lens.rho_lens`),
-one cotangent sum per strand.  :func:`gaugecert.obstruct.check_surgery_config`
-reads its Ind+ as :func:`r_invariant` plus the strands' signatures, so the
-two forms are compared here and nowhere else.
+one cotangent sum per strand, which a process computes and checks once
+while it stays in the memo behind :func:`gaugecert.exactnum.cot_cot_sin2_sum`.
+:func:`gaugecert.obstruct.check_surgery_config` reads its Ind+ as
+:func:`r_invariant` plus the strands' signatures, so the two forms are
+compared here, on every call, and nowhere else.
 """
 
 from __future__ import annotations
@@ -124,8 +126,8 @@ def _ind_plus_both_forms(S: SeifertData, d: int) -> int:
 
 def r_invariant(S: SeifertData) -> int:
     """The definite-bounding obstruction R(a_1, ..., a_n) of an integer
-    homology sphere: 2n - 3 - 2 sum K_i, with the exact trigonometric form
-    recomputed and asserted equal on every call."""
+    homology sphere: 2n - 3 - 2 sum K_i, compared on every call with the
+    exact trigonometric form, whose sums come from a memo once computed."""
     d = d_invariant(S)
     if d != 1:
         raise NotHomologySphere(f"{S} has d = {d}, need d = 1")

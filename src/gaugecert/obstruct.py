@@ -542,7 +542,7 @@ def _strand_json(s: Strand) -> dict:
 
 
 def _strand_from_json(data: dict) -> Strand:
-    matrix = SeifertMatrix(data["seifert_matrix"]) if "seifert_matrix" in data else None
+    matrix = _seifert_matrix(data["seifert_matrix"]) if "seifert_matrix" in data else None
     for key in ("knot", "provenance"):
         if not isinstance(data.get(key, ""), str):
             raise TypeError(f"{key!r} must be a string, not {type(data[key]).__name__}")
@@ -551,7 +551,7 @@ def _strand_from_json(data: dict) -> Strand:
         b=operator.index(data["b"]),
         knot=data.get("knot", "unknot"),
         seifert_matrix=matrix,
-        cs_denominators=frozenset(data.get("cs_denominators", ())),
+        cs_denominators=frozenset(_array(data.get("cs_denominators", []), "cs_denominators")),
         provenance=data.get("provenance", ""),
     )
 
@@ -588,6 +588,19 @@ def _rational(x):
     return operator.index(x)
 
 
+def _array(value, name: str, rows: bool = False) -> list:
+    # value, which must be a JSON array, and with rows=True each of its
+    # entries too: a JSON object or string in its place would be read as
+    # its keys or characters, and {} or "" as no entries at all
+    if not isinstance(value, list) or rows and not all(isinstance(row, list) for row in value):
+        raise TypeError(f"{name} must be a JSON array{' of arrays' if rows else ''}")
+    return value
+
+
+def _seifert_matrix(value) -> SeifertMatrix:
+    return SeifertMatrix(_array(value, "seifert_matrix", rows=True))
+
+
 def _has_bool(value) -> bool:
     if isinstance(value, (list, dict)):
         return any(map(_has_bool, value.values() if isinstance(value, dict) else value))
@@ -614,24 +627,25 @@ def _field(data: dict, name: str, parse):
 def run_problem(data: dict) -> ObstructionReport:
     """Dispatch a problem description (parsed JSON) to the right checker.
 
-    Integer fields must be JSON integers.  A problem that is not a JSON
+    Integer fields must be JSON integers, and array fields JSON arrays
+    (``{}`` or ``""`` is not an empty one).  A problem that is not a JSON
     object, or a missing or malformed field, raises :class:`BadParameters`
     naming it."""
     kind = _field(data, "kind", lambda v: v)
     if kind == "seifert":
-        return check_fintushel_stern(_field(data, "pairs", SeifertData))
+        return check_fintushel_stern(_field(data, "pairs", lambda v: SeifertData(_array(v, "pairs", rows=True))))
     if kind == "surgery-config":
-        return check_surgery_config(_field(data, "strands", lambda v: tuple(map(_strand_from_json, v))))
+        strands = _field(data, "strands", lambda v: tuple(map(_strand_from_json, _array(v, "strands"))))
+        return check_surgery_config(strands)
     if kind == "sfqhs-family":
         p, q, d = (_field(data, name, operator.index) for name in "pqd")
-        return check_sfqhs_family(p, q, d, _field(data, "n_list", lambda v: tuple(map(operator.index, v))))
+        n_list = _field(data, "n_list", lambda v: tuple(map(operator.index, _array(v, "n_list"))))
+        return check_sfqhs_family(p, q, d, n_list)
     raise BadParameters(f"unknown problem kind {kind!r}")
 
 
 def _gram_form(data: dict) -> GramForm:
-    gram = data["gram"]  # a JSON object in its place, or a row's, would be read as its keys
-    if not (isinstance(gram, list) and all(isinstance(row, list) for row in gram)):
-        raise TypeError("gram and each of its rows must be JSON arrays")
+    gram = _array(data["gram"], "gram", rows=True)
     return GramForm(data["rank"], tuple(tuple(map(_rational, row)) for row in gram), data.get("scale", 1))
 
 
@@ -639,8 +653,9 @@ def read_ce_problem(data: dict) -> CeProblem:
     """A C(e) problem from its description (parsed JSON: ``form``, ``e`` and
     optional ``restrictions``); errors are raised as by :func:`run_problem`."""
     form = _field(data, "form", _gram_form)
-    e = _field(data, "e", lambda v: tuple(map(operator.index, v)))
+    e = _field(data, "e", lambda v: tuple(map(operator.index, _array(v, "e"))))
     restrictions = ()
     if "restrictions" in data:
-        restrictions = _field(data, "restrictions", lambda v: tuple(Restriction(r["modulus"], r["row"]) for r in v))
+        restrictions = _field(data, "restrictions", lambda v: tuple(
+            Restriction(r["modulus"], _array(r["row"], "row")) for r in _array(v, "restrictions")))
     return CeProblem(form, e, restrictions)

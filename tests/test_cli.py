@@ -165,6 +165,22 @@ MALFORMED_FILES = [
     # a JSON object in place of a gram row, or of the matrix, is not read as its keys
     ("c-e", {"form": {"rank": 1, "gram": [{"-3": 0}]}, "e": [1]}, "'form'"),
     ("c-e", {"form": {"rank": 1, "gram": {"-3": 0}}, "e": [1]}, "'form'"),
+    # nor is {} or "" in place of any array read as an empty one
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {"a": 3, "b": -1, "seifert_matrix": {}}, STRANDS[2]]}, "'strands'"),
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {"a": 3, "b": -1, "seifert_matrix": ""}, STRANDS[2]]}, "'strands'"),
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {"a": 3, "b": -1, "seifert_matrix": [{}, []]}, STRANDS[2]]}, "'strands'"),
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {**FIGURE8, "cs_denominators": {}}, STRANDS[2]]}, "'strands'"),
+    ("check-fs", {"kind": "surgery-config", "strands": {}}, "'strands'"),
+    ("check-fs", {"kind": "seifert", "pairs": {}}, "'pairs'"),
+    ("check-fs", {"kind": "seifert", "pairs": ""}, "'pairs'"),
+    ("check-fs", {"kind": "sfqhs-family", "p": 3, "q": 5, "d": 7, "n_list": {}}, "'n_list'"),
+    ("c-e", {"form": FORM, "e": [1], "restrictions": {}}, "'restrictions'"),
+    ("c-e", {"form": FORM, "e": [1], "restrictions": [{"modulus": 2, "row": {}}]}, "'restrictions'"),
+    ("c-e", {"form": {"rank": 0, "gram": []}, "e": {}}, "'e'"),
 ]
 
 
@@ -187,6 +203,11 @@ def test_exit_code_malformed():
     assert "Traceback" not in r.stderr and "'seifert_matrix'" in r.stderr
     r = run("rho-transfer", "3", "1", "--seifert-matrix", "[[true, false], [true, true]]")
     assert r.returncode == 2 and "'seifert_matrix'" in r.stderr
+    # an empty object, string or argument is not the unknot's empty matrix
+    for matrix in ("{}", '""', "", "[{}]"):
+        r = run("rho-transfer", "3", "1", "--seifert-matrix", matrix)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr and "'seifert_matrix'" in r.stderr
     r = run("tau-bound", "--denominator", "0")
     assert r.returncode == 2 and "denominator must be a positive integer" in r.stderr
     # a positional whose only token is "--" is refused, not handed over unconverted

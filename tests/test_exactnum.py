@@ -270,9 +270,73 @@ def test_engine_large_order_closed_form():
 def test_engine_evenness_check(monkeypatch):
     import gaugecert.exactnum as ex
 
+    # a memo entry for (7, 2, 3) would answer without reaching the kernel
+    ex._cot_cot_sin2_sum.cache_clear()
     monkeypatch.setattr(ex, "_sawtooth_convolution", lambda a, c, m: m)
     with pytest.raises(InternalCheckError):
         ex.cot_cot_sin2_sum(7, 2, 3)
+    assert ex._cot_cot_sin2_sum.cache_info().currsize == 0  # a failed check leaves no entry
+
+
+# ---------------------------------------------------------------------------
+# the memo of cotangent sums
+# ---------------------------------------------------------------------------
+
+def test_memo_is_keyed_on_reduced_arguments():
+    from gaugecert.exactnum import _cot_cot_sin2_sum as memo
+
+    memo.cache_clear()
+    a, b, l = 101, 7, 30
+    values = {cot_cot_sin2_sum(*args) for args in ((a, b, l), (a, b + 3 * a, l - 2 * a), (a, b - a, l + a))}
+    info = memo.cache_info()
+    assert values == {sawtooth_sum(a, b, l)}
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+
+def test_memo_is_bounded_and_recomputes_what_it_evicted():
+    from gaugecert.exactnum import _cot_cot_sin2_sum as memo
+
+    memo.cache_clear()
+    rng = random.Random(29)
+    keys = set()
+    while len(keys) < 1500:
+        a = rng.randint(2, 400)
+        b, l = rng.randrange(1, a), rng.randrange(1, a)
+        if gcd(a, b) == 1:
+            keys.add((a, b, l))
+    keys = sorted(keys)
+    maxsize = memo.cache_info().maxsize
+    assert maxsize == 1024
+    expected = {}
+    for i, key in enumerate(keys):
+        expected[key] = cot_cot_sin2_sum(*key)
+        assert memo.cache_info().currsize == min(i + 1, maxsize)
+    # the last keys are warm, the first were evicted and are computed again
+    warm, evicted = keys[-100:], keys[:100]
+    hits = memo.cache_info().hits
+    for key in warm:
+        assert cot_cot_sin2_sum(*key) == expected[key]
+    assert memo.cache_info().hits == hits + len(warm)
+    misses = memo.cache_info().misses
+    for key in evicted:
+        assert cot_cot_sin2_sum(*key) == expected[key]
+    assert memo.cache_info().misses == misses + len(evicted)
+    assert memo.cache_info().currsize == maxsize
+    for key in rng.sample(keys, 60) + warm[:20] + evicted[:20]:
+        assert expected[key] == sawtooth_sum(*key), key
+
+
+def test_memo_never_serves_a_refused_call():
+    from gaugecert.exactnum import _cot_cot_sin2_sum as memo
+
+    memo.cache_clear()
+    for _ in range(2):
+        for a, b, l in ((6, 2, 1), (6, 8, 7), (15, 5, 4), (0, 1, 1), (-3, 1, 1)):
+            with pytest.raises(BadParameters):
+                cot_cot_sin2_sum(a, b, l)
+    # neither do the zero cases reach it: a = 1, and l = 0 mod a
+    assert cot_cot_sin2_sum(1, 0, 5) == cot_cot_sin2_sum(9, 2, 18) == 0
+    assert memo.cache_info().currsize == memo.cache_info().misses == memo.cache_info().hits == 0
 
 
 # ---------------------------------------------------------------------------

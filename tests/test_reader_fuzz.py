@@ -72,14 +72,15 @@ def mutated_golden(draw):
 
 @st.composite
 def golden_with_object(draw):
-    # a JSON object where a golden problem has an array, keyed by the array's
+    # where a golden problem has an array: a JSON object keyed by the array's
     # entries (strings as they are, anything else as its JSON text), so that
-    # iterating over it gives the entries or their text back
+    # iterating over it gives the entries or their text back, or {} or "",
+    # which iterate as no entries at all
     problem = json.loads(json.dumps(draw(st.sampled_from(PROBLEMS))))
     path = draw(st.sampled_from([p for p in _paths(problem) if isinstance(reduce(getitem, p, problem), list)]))
     array = reduce(getitem, path, problem)
-    obj = {x if isinstance(x, str) else json.dumps(x): draw(json_values) for x in array}
-    reduce(getitem, path[:-1], problem)[path[-1]] = obj
+    keyed = {x if isinstance(x, str) else json.dumps(x): draw(json_values) for x in array}
+    reduce(getitem, path[:-1], problem)[path[-1]] = draw(st.sampled_from((keyed, {}, "")))
     return problem
 
 
