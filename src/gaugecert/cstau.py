@@ -13,12 +13,15 @@ below, and every bound is labeled as such:
   tau >= 4/a;
 * on a Seifert rational homology sphere with d odd and positive,
   irreducible flat connections have denominator a = a_1...a_n and
-  reducible ones denominator d, so tau >= min(1/a, 1/d).
+  reducible ones denominator d, so tau >= min(1/a, 1/d) = 1/max(a, d),
+  one Fraction after a minimum taken in integers.
 
 Components that are neither lens spaces nor Seifert fibered (for example
 surgeries on genuinely knotted strands) need a user-supplied
 :class:`CsDenominatorProfile` with a provenance string; the bound is then
-1/lcm over the guaranteed denominators.
+1/lcm over the guaranteed denominators.  A bound or a charge p_1 is an
+int that is not a bool, or a Fraction kept as given; anything else, a
+float or a bool, raises :class:`BadParameters`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BadParameters, EmptyBoundary, HypothesisFailed, NegativeCharge
+from .exactnum import exact_rational
 from .lens import LensSpace
 from .seifert import SeifertData, d_invariant
 
@@ -52,8 +56,8 @@ class TauBound:
     kind: str = "lower-bound"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
-        if not (0 < self.value <= 4):
+        object.__setattr__(self, "value", exact_rational(self.value, "tau bound"))
+        if not 0 < self.value.numerator <= 4 * self.value.denominator:
             raise BadParameters(f"tau bound {self.value} outside (0, 4]")
 
 
@@ -107,7 +111,7 @@ def tau_lower_seifert(S: SeifertData) -> TauBound:
     d = d_invariant(S)
     if d <= 0 or d % 2 == 0:
         raise HypothesisFailed(f"need d odd and positive, got d = {d}")
-    return TauBound(min(Fraction(1, S.a_product), Fraction(1, d)))
+    return TauBound(Fraction(1, max(S.a_product, d)))
 
 
 def tau_hat(bounds: list[TauBound] | tuple[TauBound, ...]) -> TauBound:
@@ -121,7 +125,7 @@ def tau_hat(bounds: list[TauBound] | tuple[TauBound, ...]) -> TauBound:
 def compactness_margin(p1: Fraction, tau: TauBound) -> Fraction:
     """tau.value - p1.  A strictly positive margin certifies the
     compactness hypothesis 0 <= p_1 < tau-hat; zero or negative does not."""
-    p1 = Fraction(p1)
-    if p1 < 0:
+    p1 = exact_rational(p1, "p_1")
+    if p1.numerator < 0:
         raise NegativeCharge(f"p_1 = {p1} < 0")
     return tau.value - p1

@@ -1,8 +1,8 @@
 """Exact arithmetic foundation.
 
 All rational quantities in the package are :class:`fractions.Fraction`
-(arbitrary precision, always in lowest terms with positive denominator).
-On top of that this module provides:
+(arbitrary precision, always in lowest terms with positive denominator),
+and an exact value is read in by :func:`exact_rational`.  This module gives:
 
 * division with remainder by a monic integer polynomial
   (:func:`poly_divmod`), which builds the cyclotomic polynomials and
@@ -61,6 +61,15 @@ def inverse_mod(x: int, m: int) -> int:
         return pow(x, -1, m)
     except ValueError:
         raise NoSolution(f"{x} is not invertible mod {m}") from None
+
+
+def exact_rational(value, name: str) -> Fraction:
+    """value as a Fraction: a Fraction as is, or an int that is not a bool."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise BadParameters(f"{name} must be an int or a Fraction, not {type(value).__name__}")
 
 
 def euler_phi(a: int) -> int:

@@ -6,8 +6,9 @@ flat limits alpha_i on its rational-homology-sphere boundary pieces, is
     ind_plus = 2 p_1 - 3 (1 + b^+(X))
                + (1/2) sum over nontrivial alpha_i of (3 - h_i - rho_i),
 
-all exact rationals; :func:`ind_plus_general` evaluates it for
-b^+(X) = 0, the only case the checkers meet.  This module never touches
+all exact: p_1 and rho_i are given as ints (not bools) or Fractions, else
+:class:`BadParameters` names the field.  :func:`ind_plus_general` evaluates
+it for b^+(X) = 0, the only case the checkers meet.  This module never touches
 geometry: the analytic data (h_i, rho_i) arrives as plain numbers in
 :class:`IndexInputs`, so boundary pieces that are not lens spaces are
 handled by whoever supplies rho (see :mod:`gaugecert.obstruct` for the
@@ -30,6 +31,8 @@ obstruction R(a_1, ..., a_n).  Each strand's trigonometric term is the
 lens rho invariant rho(L(a_i, b_i), b_i)/2 (:func:`gaugecert.lens.rho_lens`),
 one cotangent sum per strand, which a process computes and checks once
 while it stays in the memo behind :func:`gaugecert.exactnum.cot_cot_sin2_sum`.
+Each such rho lies in (2/a_i^2) Z, so the forms are compared as an integer
+identity, times 2A^2 (A = a_1...a_n), which a rho outside (1/A^2) Z fails.
 :func:`gaugecert.obstruct.check_surgery_config` reads its Ind+ as
 :func:`r_invariant` plus the strands' signatures, so the two forms are
 compared here, on every call, and nowhere else.
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, ClosedFormMismatch, Degenerate, NotHomologySphere
+from .exactnum import exact_rational
 from .lens import LensSpace, rho_lens
 from .seifert import SeifertData, d_invariant
 
@@ -66,7 +70,7 @@ class BoundaryTerm:
     trivial: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", Fraction(self.rho))
+        object.__setattr__(self, "rho", exact_rational(self.rho, "rho"))
         if self.h < 0:
             raise BadParameters("h = dim H^0 must be >= 0")
         if self.trivial and (self.h != 3 or self.rho != 0):
@@ -79,17 +83,14 @@ class IndexInputs:
     boundary_terms: tuple[BoundaryTerm, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", Fraction(self.p1))
+        object.__setattr__(self, "p1", exact_rational(self.p1, "p_1"))
         object.__setattr__(self, "boundary_terms", tuple(self.boundary_terms))
 
 
 def ind_plus_general(inp: IndexInputs) -> Fraction:
     """2 p_1 - 3 + (1/2) sum_{nontrivial} (3 - h - rho), exact (b^+(X) = 0)."""
-    total = 2 * inp.p1 - 3
-    for term in inp.boundary_terms:
-        if not term.trivial:
-            total += Fraction(3 - term.h - term.rho, 2)
-    return total
+    terms = (Fraction(3 - t.h - t.rho, 2) for t in inp.boundary_terms if not t.trivial)
+    return 2 * inp.p1 - 3 + sum(terms)
 
 
 def k_coefficients(S: SeifertData) -> tuple[int, ...]:
@@ -115,12 +116,14 @@ def index_closed_form(S: SeifertData) -> int:
 
 def _ind_plus_both_forms(S: SeifertData, d: int) -> int:
     closed = index_closed_form(S)
-    # twice the trigonometric form, so that each strand adds its lens rho as is
-    twice_trig = Fraction(4 * d, S.a_product) + 2 * (S.n - 3)
-    for a, b in S.pairs:
-        twice_trig += rho_lens(LensSpace(a, b), b)
-    if twice_trig != 2 * closed:
-        raise ClosedFormMismatch(f"index transfer mismatch for {S}: trig {twice_trig / 2} vs closed {closed}")
+    # twice the trigonometric form, so that each strand adds its lens rho as
+    # is, times A^2: an integer when every rho's denominator divides A^2
+    A, A2 = S.a_product, S.a_product ** 2
+    rhos = [rho_lens(LensSpace(a, b), b) for a, b in S.pairs]
+    twice_trig = 4 * d * A + 2 * (S.n - 3) * A2 + sum(rho.numerator * (A2 // rho.denominator) for rho in rhos)
+    if any(A2 % rho.denominator for rho in rhos) or twice_trig != 2 * closed * A2:
+        trig = (Fraction(4 * d, A) + 2 * (S.n - 3) + sum(rhos)) / 2
+        raise ClosedFormMismatch(f"index transfer mismatch for {S}: trig {trig} vs closed {closed}")
     return closed
 
 

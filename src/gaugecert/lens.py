@@ -13,7 +13,9 @@ For the flat SO(2) connection beta sending mu to the rotation by angle
                                            sin^2(pi k l/a),
 
 and rho of the reducible SO(3) connection beta (+) trivial equals rho of
-its SO(2) part, so only the SO(2) computation is exposed.
+its SO(2) part, so only the SO(2) computation is exposed.  It is built as
+one Fraction from the numerator and denominator of the sum, which lies in
+(1/2a) Z, so rho lies in (2/a^2) Z.
 
 The Neumann-Zagier identity evaluates the l = 1 specialization in closed
 form:  (2/a) sum_k cot(pi k c/a) cot(pi k/a) sin^2(pi k/a) = 2 c*/a - 1
@@ -61,7 +63,8 @@ class LensSpace:
 def rho_lens(L: LensSpace, l: int) -> Fraction:
     """Exact rho invariant of the flat SO(2) connection with holonomy
     mu -> exp(2 pi i l / a) on L(a, b); l is reduced mod a."""
-    return Fraction(4, L.a) * cot_cot_sin2_sum(L.a, L.b, l)
+    s = cot_cot_sin2_sum(L.a, L.b, l)
+    return Fraction(4 * s.numerator, L.a * s.denominator)
 
 
 def nz_closed_form(a: int, c: int) -> Fraction:
@@ -78,4 +81,4 @@ def nz_closed_form(a: int, c: int) -> Fraction:
     cstar = (-inverse_mod(c % a, a)) % a
     if not 0 < cstar < a or (c * cstar) % a != a - 1:
         raise InternalCheckError(f"c* = {cstar} is not -1/{c} mod {a} in (0, {a})")
-    return Fraction(2 * cstar, a) - 1
+    return Fraction(2 * cstar - a, a)

@@ -241,13 +241,11 @@ def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> T
             True,
         )
         return bound
-    denoms = set(strand.cs_denominators)
-    prov = strand.provenance
+    denoms, prov = set(strand.cs_denominators), strand.provenance
     if not denoms:
         key = (strand.knot, strand.a, strand.b % strand.a)
-        if key in CS_DENOMINATOR_CATALOG:
-            denoms, prov = CS_DENOMINATOR_CATALOG[key]
-            denoms = set(denoms)
+        denoms, prov = CS_DENOMINATOR_CATALOG.get(key, (denoms, prov))
+        denoms = set(denoms)
     if not denoms:
         lines.add(
             f"tau(strand {strand.a}/{strand.b})",
@@ -411,6 +409,10 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     exactly, and the reducible count is pinned to the single witness k = 1
     with odd parity.
     """
+    n_list = tuple(n_list)
+    for name, values in (("p", (p,)), ("q", (q,)), ("d", (d,)), ("n_list", n_list)):
+        if any(isinstance(v, bool) for v in values):
+            raise BadParameters(f"{name} holds a boolean, not an integer")
     n_list = tuple(map(operator.index, n_list))
     problem = {"kind": "sfqhs-family", "p": p, "q": q, "d": d, "n_list": list(n_list)}
     lines = _Lines()
@@ -433,23 +435,16 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
 
     pq = p * q
     # d >= 1, so n_k > d n_i - d(d-1)/pq for all i < k iff it holds for the
-    # largest n_i with i < k
-    slack = Fraction(d * (d - 1), pq)
-    spacing = all(n > d * top - slack for top, n in zip(accumulate(n_list, max), n_list[1:]))
-    lines.add(
-        "spacing",
-        "n_k > d n_i - d(d-1)/pq for all k > i",
-        spacing,
-        spacing,
-    )
-    base = Fraction(d, pq) * max(
-        1 + Fraction(d, pq), 1 + Fraction(1, p), 1 + Fraction(1, q)
-    )
+    # largest n_i with i < k; both sides times pq, in integers
+    spacing = all(pq * (n - d * top) + d * (d - 1) > 0 for top, n in zip(accumulate(n_list, max), n_list[1:]))
+    lines.add("spacing", "n_k > d n_i - d(d-1)/pq for all k > i", spacing, spacing)
+    # (d/pq) max{1 + d/pq, 1 + 1/p, 1 + 1/q} = d (pq + max{d, q, p}) / (pq)^2
+    base = d * (pq + max(d, p, q))
     lines.add(
         "base size",
         "n_1 > (d/pq) max{1 + d/pq, 1 + 1/p, 1 + 1/q}",
-        f"{n_list[0]} > {base}",
-        Fraction(n_list[0]) > base,
+        f"{n_list[0]} > {Fraction(base, pq * pq)}",
+        n_list[0] * pq * pq > base,
     )
 
     n_last = n_list[-1]
@@ -471,35 +466,21 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
 
     a = pq * a3
     p1 = Fraction(d, a)
-    lines.add("p_1", "p_1 = d/(pq(pq n_N - d))", p1, 0 < p1)
+    lines.add("p_1", "p_1 = d/(pq(pq n_N - d))", p1, d * a > 0)
 
-    # compactness comparisons, exactly as displayed in the minimum set
-    comparisons = [
-        ("p_1 < 1/d", Fraction(1, d)),
-        ("p_1 < 1/p", Fraction(1, p)),
-        ("p_1 < 1/q", Fraction(1, q)),
-        (f"p_1 < 1/{a3}", Fraction(1, a3)),
-    ]
-    for i, n_i in enumerate(n_list[:-1]):
-        comparisons.append((f"p_1 < 1/(pq(pq n_{i + 1} - d))", Fraction(1, pq * (pq * n_i - d))))
-    for name, rhs in comparisons:
-        lines.add(name, f"exact comparison, p_1 = {p1}", rhs, p1 < rhs)
+    # compactness comparisons, exactly as displayed in the minimum set:
+    # with a, m > 0, p_1 = d/a < 1/m iff d m < a
+    comparisons = [("p_1 < 1/d", d), ("p_1 < 1/p", p), ("p_1 < 1/q", q), (f"p_1 < 1/{a3}", a3)]
+    comparisons += [(f"p_1 < 1/(pq(pq n_{i} - d))", pq * (pq * n_i - d)) for i, n_i in enumerate(n_list[:-1], 1)]
+    formula = f"exact comparison, p_1 = {p1}"
+    for name, m in comparisons:
+        lines.add(name, formula, f"1/{m}" if m > 1 else "1", d * m < a)
 
-    bounds = [
-        tau_lower_from_denominator(p),
-        tau_lower_from_denominator(q),
-        tau_lower_from_denominator(a3),
-    ]
-    for n_i in n_list[:-1]:
-        bounds.append(tau_lower_seifert(torus_knot_surgery(p, q, d, n_i)))
+    bounds = [tau_lower_from_denominator(k) for k in (p, q, a3)]
+    bounds += [tau_lower_seifert(torus_knot_surgery(p, q, d, n_i)) for n_i in n_list[:-1]]
     th = tau_hat(bounds)
     margin = compactness_margin(p1, th)
-    lines.add(
-        "p_1 < tau_hat",
-        f"margin tau_hat - p_1 with tau_hat >= {th.value}",
-        margin,
-        margin > 0,
-    )
+    lines.add("p_1 < tau_hat", f"margin tau_hat - p_1 with tau_hat >= {th.value}", margin, margin > 0)
 
     # p, q and d are odd, or the report ended at "parameters positive odd"
     torsion_odd = all((pq * n_i - d) % 2 == 1 for n_i in n_list)

@@ -84,6 +84,26 @@ def test_bound_range_invariant():
     assert TauBound(4).value == 4
 
 
+# a float's value is not the one written (0.1 is 3602879701896397/2^55), and
+# a bool is not a number
+NOT_EXACT = [0.1, 0.5, True, False, "1/2", None]
+
+
+@pytest.mark.parametrize("value", NOT_EXACT)
+def test_exact_values_only(value):
+    with pytest.raises(BadParameters, match="tau bound must be an int or a Fraction"):
+        TauBound(value)
+    with pytest.raises(BadParameters, match="p_1 must be an int or a Fraction"):
+        compactness_margin(value, tau_lower_from_denominator(24))
+
+
+def test_exact_values_kept():
+    third = Fraction(1, 3)
+    assert TauBound(third).value is third
+    assert TauBound(2).value == 2 and type(TauBound(2).value) is Fraction
+    assert compactness_margin(0, TauBound(third)) == third
+
+
 def test_compactness_margin():
     assert compactness_margin(Fraction(1, 66), tau_lower_from_denominator(24)) == Fraction(7, 264)
     assert compactness_margin(Fraction(1, 24), tau_lower_from_denominator(24)) == 0

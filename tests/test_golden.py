@@ -10,7 +10,9 @@ README examples and the Inconclusive Sigma(2,3,7) report before the C(e)
 class map was made one pass; the degenerate genus-2 and the genus-3
 surgery configurations before the signatures were read from one integer
 polynomial; the scale-6 C(e) report before every form was validated by one
-integer route.  Each output must stay byte identical; the call counts pin
+integer route; the family reports with d = 37 > pq and with d = 1 before
+check-family decided its rationals by cross-multiplying integers.  Each
+output must stay byte identical; the call counts pin
 that each knotted strand's signature, which also decides its
 nondegeneracy, and each strand's cotangent sum are computed once, and
 that the knotted reports build no element of Z[zeta_a]."""
@@ -53,6 +55,14 @@ REPORTS = [
     pytest.param(["check-fs", "2,1", "3,1", "5,-4"], "fs_2_3_5.report.json", id="fs-2-3-5"),
     pytest.param(["--format", "text", "check-fs", "2,1", "3,1", "5,-4"], "fs_2_3_5.report.txt", id="fs-2-3-5-text"),
     pytest.param(["check-family", "3", "5", "7", "6,48,342,2400"], "family_3_5_7.report.json", id="family-3-5-7"),
+    # d = 37 > pq = 33, so p_1 = d/(pq a_3) is not below 1/a_3, and p_1 < tau_hat fails too
+    pytest.param(["check-family", "3", "11", "37", "44"], "family_3_11_37.report.json", id="family-3-11-37"),
+    pytest.param(["--format", "text", "check-family", "3", "11", "37", "44"], "family_3_11_37.report.txt",
+                 id="family-3-11-37-text"),
+    # d = 1: the line p_1 < 1/d prints 1
+    pytest.param(["check-family", "3", "5", "1", "2,4,8"], "family_3_5_1.report.json", id="family-3-5-1"),
+    pytest.param(["--format", "text", "check-family", "3", "5", "1", "2,4,8"], "family_3_5_1.report.txt",
+                 id="family-3-5-1-text"),
     pytest.param(["c-e", "ce_rank4.problem.json"], "ce_rank4.report.json", id="c-e-rank4"),
     # five classes, three with a pinned sign, all with last coordinate 0: where the
     # one-sign-per-class search starts

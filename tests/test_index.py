@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from gaugecert import (
+    BadParameters,
     BoundaryTerm,
     Degenerate,
     GaugeCertError,
@@ -36,6 +37,16 @@ def test_ind_plus_general_trivial():
 def test_boundary_term_invariant():
     with pytest.raises(GaugeCertError):
         BoundaryTerm(1, Fraction(0), trivial=True)
+
+
+@pytest.mark.parametrize("value", [0.3, 0.25, True, False, "1/2", None])
+def test_index_inputs_exact_values_only(value):
+    # a float's value is not the one written, and a bool is not a number
+    with pytest.raises(BadParameters, match="rho must be an int or a Fraction"):
+        BoundaryTerm(1, value)
+    with pytest.raises(BadParameters, match="p_1 must be an int or a Fraction"):
+        IndexInputs(value, ())
+    assert IndexInputs(Fraction(1, 4), (BoundaryTerm(1, 2),)).boundary_terms[0].rho == 2
 
 
 def test_ind_plus_general_sigma_2_3_11():

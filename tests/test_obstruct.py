@@ -4,6 +4,7 @@ rho transfer, determinism, JSON serialization and the problem reader."""
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -111,18 +112,24 @@ def test_surgery_config_descartes_count_check(monkeypatch):
     [
         lambda: check_fintushel_stern(SeifertData(((2, 1), (3, 1), (5, -4)))),
         lambda: check_surgery_config((Strand(2, 1), Strand(3, -1, knot="figure8"), Strand(11, -2))),
+        # A = 70 is prime to 3, so a sum off by 1/3 gives a rho outside (1/A^2) Z
+        lambda: check_fintushel_stern(SeifertData(((2, 1), (5, -1), (7, -2)))),
     ],
-    ids=["fs_2_3_5", "figure8_obstructed"],
+    ids=["fs_2_3_5", "figure8_obstructed", "fs_2_5_7"],
 )
 def test_wrong_cotangent_sum_is_a_transfer_mismatch(monkeypatch, check):
     # the transferred Ind+ is checked against R's closed form, so a cotangent
-    # sum that is off by one cannot reach a report
+    # sum that is off by one, or by 1/3, whose denominator need not divide
+    # a_i^2, or by 10^-9, which rounding to (1/A^2) Z would lose, cannot
+    # reach a report
     import gaugecert.lens as lens
 
     true_sum = lens.cot_cot_sin2_sum
-    monkeypatch.setattr(lens, "cot_cot_sin2_sum", lambda a, b, l: true_sum(a, b, l) + 1)
-    with pytest.raises(InternalCheckError, match="index transfer mismatch"):
-        check()
+    check()  # the true sums pass the comparison
+    for off in (1, Fraction(1, 3), Fraction(1, 10**9)):
+        monkeypatch.setattr(lens, "cot_cot_sin2_sum", lambda a, b, l, off=off: true_sum(a, b, l) + off)
+        with pytest.raises(InternalCheckError, match="index transfer mismatch"):
+            check()
 
 
 def test_surgery_config_unknown_knot_inconclusive():
@@ -202,6 +209,64 @@ def test_family_spacing_matches_pairwise_definition():
         assert check_sfqhs_family(p, q, d, n_list).line("spacing").value == str(pairwise).lower(), (p, q, d, n_list)
         verdicts.append(pairwise)
     assert min(verdicts.count(True), verdicts.count(False)) >= 100
+
+
+def test_family_window_lines_match_definition():
+    # base size, every p_1 < ... line and p_1 < tau_hat against Fraction
+    # arithmetic, on families with d = 1, d < pq and d > pq
+    rng = random.Random(19)
+    a3_verdicts = []
+    for _ in range(400):
+        p, q = rng.sample((3, 5, 7, 11, 13), 2)
+        pq = p * q
+        small = (1, 1, 3, 5, 7, 9, 11, 13, 17)
+        d = rng.choice([x for x in (small if rng.random() < 0.5 else range(pq, 4 * pq, 2)) if gcd(x, pq) == 1])
+        n_list = []
+        for _ in range(rng.randint(1, 4)):
+            n = d * n_list[-1] + 2 * rng.randint(0, 4) if n_list else 2 * rng.randint(1, 1 + 2 * d * d // pq**2)
+            while gcd(n, d) > 1:
+                n += 2
+            n_list.append(n)
+        r = check_sfqhs_family(p, q, d, n_list)
+        base = Fraction(d, pq) * max(1 + Fraction(d, pq), 1 + Fraction(1, p), 1 + Fraction(1, q))
+        names = [h.name for h in r.hypotheses]
+        if "base size" in names:
+            line = r.line("base size")
+            assert (line.value, line.verdict) == (f"{n_list[0]} > {base}", "pass" if n_list[0] > base else "fail")
+        if "p_1" not in names:
+            continue
+        a3 = pq * n_list[-1] - d
+        p1 = Fraction(d, pq * a3)
+        rhs = {"p_1 < 1/d": Fraction(1, d), "p_1 < 1/p": Fraction(1, p), "p_1 < 1/q": Fraction(1, q),
+               f"p_1 < 1/{a3}": Fraction(1, a3)}
+        for i, n_i in enumerate(n_list[:-1], 1):
+            rhs[f"p_1 < 1/(pq(pq n_{i} - d))"] = Fraction(1, pq * (pq * n_i - d))
+        window = [h for h in r.hypotheses if h.name.startswith("p_1 < 1/")]
+        assert [h.name for h in window] == list(rhs)
+        for h in window:
+            assert (h.value, h.formula) == (str(rhs[h.name]), f"exact comparison, p_1 = {p1}")
+            assert h.verdict == ("pass" if p1 < rhs[h.name] else "fail")
+        tau = min(Fraction(1, p), Fraction(1, q), Fraction(1, a3),
+                  *(min(Fraction(1, pq * (pq * n_i - d)), Fraction(1, d)) for n_i in n_list[:-1]))
+        line = r.line("p_1 < tau_hat")
+        assert (line.value, line.formula) == (str(tau - p1), f"margin tau_hat - p_1 with tau_hat >= {tau}")
+        assert line.verdict == ("pass" if p1 < tau else "fail")
+        # p_1 = d/(pq a_3) < 1/a_3 exactly when d < pq
+        assert r.line(f"p_1 < 1/{a3}").verdict == ("pass" if d < pq else "fail")
+        a3_verdicts.append(d < pq)
+    assert min(a3_verdicts.count(True), a3_verdicts.count(False)) >= 100
+
+
+@pytest.mark.parametrize("args, name", [
+    ((True, 5, 7, (6, 48)), "p"),
+    ((3, True, 7, (6, 48)), "q"),
+    ((3, 5, True, (6, 48)), "d"),
+    ((3, 5, 7, (6, True)), "n_list"),
+])
+def test_family_refuses_booleans(args, name):
+    # gcd and operator.index read True as 1; run_problem and the CLI refuse them too
+    with pytest.raises(BadParameters, match=f"^{name} "):
+        check_sfqhs_family(*args)
 
 
 def test_family_fs_consistency_d1():
