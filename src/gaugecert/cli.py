@@ -127,7 +127,7 @@ def _cmd_tau_bound(args) -> tuple[dict, str]:
         bound = tau_lower_from_denominator(args.denominator)
         source = f"denominator {args.denominator}"
     return (
-        {"bound": str(bound.value), "kind": bound.kind, "source": source},
+        {"bound": str(bound.value), "kind": "lower-bound", "source": source},
         f"tau >= {bound.value} ({source})\n",
     )
 

@@ -53,7 +53,6 @@ class TauBound:
     """A certified lower bound for tau, always in (0, 4]."""
 
     value: Fraction
-    kind: str = "lower-bound"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", exact_rational(self.value, "tau bound"))

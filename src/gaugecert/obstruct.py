@@ -57,10 +57,8 @@ from .cstau import (
     TauBound,
     compactness_margin,
     tau_hat,
-    tau_lower_from_denominator,
     tau_lower_from_profile,
     tau_lower_lens,
-    tau_lower_seifert,
 )
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
 from .index import ind_plus_seifert_qhs, r_invariant
@@ -405,9 +403,11 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     (pairwise coprimality and oddness; n_k even, strictly increasing,
     coprime to d; the spacing and base-size inequalities), and for the
     largest n the index is computed by both Seifert index forms, the
-    Pontryagin charge and all strict compactness comparisons are evaluated
-    exactly, and the reducible count is pinned to the single witness k = 1
-    with odd parity.
+    Pontryagin charge and all strict compactness comparisons p_1 < 1/m are
+    evaluated exactly, and the reducible count is pinned to the single
+    witness k = 1 with odd parity.  tau-hat is the least of those 1/m other
+    than 1/d, which never binds, so only the largest n is built as a
+    Seifert space.
     """
     n_list = tuple(n_list)
     for name, values in (("p", (p,)), ("q", (q,)), ("d", (d,)), ("n_list", n_list)):
@@ -476,11 +476,11 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     for name, m in comparisons:
         lines.add(name, formula, f"1/{m}" if m > 1 else "1", d * m < a)
 
-    bounds = [tau_lower_from_denominator(k) for k in (p, q, a3)]
-    bounds += [tau_lower_seifert(torus_knot_surgery(p, q, d, n_i)) for n_i in n_list[:-1]]
-    th = tau_hat(bounds)
-    margin = compactness_margin(p1, th)
-    lines.add("p_1 < tau_hat", f"margin tau_hat - p_1 with tau_hat >= {th.value}", margin, margin > 0)
+    # member n_i bounds tau by 1/max(pq(pq n_i - d), d), and "surgery valid"
+    # gives pq(pq n_i - d) > pq n_i > d, so tau_hat >= 1/top, the least bound but 1/d
+    top = max(m for _, m in comparisons[1:])
+    margin = Fraction(a - d * top, a * top)
+    lines.add("p_1 < tau_hat", f"margin tau_hat - p_1 with tau_hat >= {Fraction(1, top)}", margin, d * top < a)
 
     # p, q and d are odd, or the report ended at "parameters positive odd"
     torsion_odd = all((pq * n_i - d) % 2 == 1 for n_i in n_list)

@@ -114,7 +114,7 @@ def torus_knot_surgery(p: int, q: int, d: int, n: int) -> SeifertData:
     d-invariant of the output is d.
     """
     if p < 2 or q < 2:
-        raise BadParameters("torus knot parameters must be at least 2")
+        raise BadParameters(f"torus knot parameters p and q must be at least 2, got p = {p}, q = {q}")
     if gcd(p, q) != 1:
         raise BadParameters(f"gcd({p}, {q}) != 1")
     if n <= 0 or p * q * n - d <= n:

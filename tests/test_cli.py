@@ -210,6 +210,10 @@ def test_exit_code_malformed():
         assert "Traceback" not in r.stderr and "'seifert_matrix'" in r.stderr
     r = run("tau-bound", "--denominator", "0")
     assert r.returncode == 2 and "denominator must be a positive integer" in r.stderr
+    # p = 1 passes "parameters positive odd"; the torus knot's refusal names p
+    r = run("check-family", "1", "3", "1", "2,4")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "p = 1" in r.stderr
     # a positional whose only token is "--" is refused, not handed over unconverted
     for argv in (("nz-check", "2", "--", "--"), ("rho-transfer", "2", "--", "--"), ("rho-lens", "3", "1", "--", "--"),
                  ("plumbing", "3", "--", "--"), ("check-family", "3", "5", "7", "--", "--")):

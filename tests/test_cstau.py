@@ -82,6 +82,9 @@ def test_bound_range_invariant():
     with pytest.raises(BadParameters):
         TauBound(Fraction(0))
     assert TauBound(4).value == 4
+    # a bound is only ever a lower bound, so its value is all it holds
+    with pytest.raises(TypeError):
+        TauBound(Fraction(1, 3), kind="exact")
 
 
 # a float's value is not the one written (0.1 is 3602879701896397/2^55), and

@@ -186,3 +186,14 @@ def test_cotangent_sum_once_per_strand(monkeypatch, check):
     monkeypatch.setattr(lens, "cot_cot_sin2_sum", lambda *args: calls.append(args) or fn(*args))
     check()
     assert len(calls) == 3
+
+
+# check-family builds one Seifert space, for the largest n_k: each earlier
+# member's tau bound is a p_1 < 1/m line the report already decides
+def test_one_seifert_space_per_family_report(monkeypatch):
+    calls = []
+    fn = obstruct.torus_knot_surgery
+    monkeypatch.setattr(obstruct, "torus_knot_surgery", lambda *args: calls.append(args) or fn(*args))
+    report = _family_3_5_7()
+    assert report.conclusion == obstruct.INDEPENDENT
+    assert calls == [(3, 5, 7, 2400)]
