@@ -11,12 +11,8 @@ independence of surgery families in the Z/2 homology cobordism group.
 """
 
 from .cstau import (
-    CsDenominatorProfile,
     TauBound,
-    compactness_margin,
-    tau_hat,
     tau_lower_from_denominator,
-    tau_lower_from_profile,
     tau_lower_lens,
     tau_lower_seifert,
 )
@@ -24,11 +20,9 @@ from .errors import (
     BadParameters,
     ClosedFormMismatch,
     Degenerate,
-    EmptyBoundary,
     GaugeCertError,
     HypothesisFailed,
     InternalCheckError,
-    NegativeCharge,
     NonRational,
     NoSolution,
     NotDefinite,
@@ -43,9 +37,6 @@ from .exactnum import (
     hj_expand,
 )
 from .index import (
-    BoundaryTerm,
-    IndexInputs,
-    ind_plus_general,
     ind_plus_seifert_qhs,
     k_coefficients,
     r_invariant,

@@ -135,16 +135,16 @@ def _cmd_tau_bound(args) -> tuple[dict, str]:
 def _cmd_plumbing(args) -> tuple[dict, str]:
     exp = hj_expand(args.a, args.b)
     G = plumbing_gram(exp)
-    det = gram_determinant(G)
+    det, definite = gram_determinant(G), is_negative_definite(G)
     payload = {
         "a": args.a,
         "b": args.b,
         "terms": list(exp.terms),
         "gram": [list(row) for row in G.rows],
-        "negative_definite": is_negative_definite(G),
+        "negative_definite": definite,
         "det": str(det),
     }
-    text = f"{args.a}/{args.b} = {list(exp.terms)}; negative definite, det = {det}\n"
+    text = f"{args.a}/{args.b} = {list(exp.terms)}; {'' if definite else 'not '}negative definite, det = {det}\n"
     return payload, text
 
 

@@ -46,14 +46,6 @@ class HypothesisFailed(GaugeCertError, ValueError):
     """A stated hypothesis of a lemma or theorem fails for this input."""
 
 
-class EmptyBoundary(GaugeCertError, ValueError):
-    """A minimum over boundary components was requested for an empty boundary."""
-
-
-class NegativeCharge(GaugeCertError, ValueError):
-    """A Pontryagin charge expected to be non-negative was negative."""
-
-
 class NotDefinite(GaugeCertError, ValueError):
     """A quadratic form expected to be negative definite is not."""
 

@@ -40,6 +40,15 @@ status 3).  Each knotted strand's signature is computed once: its
 Hermitian form is singular exactly where the Alexander polynomial
 vanishes, so whether the signature raised :class:`SingularPivot` is the
 strand's nondegeneracy line, and Ind+ reads the same signature.
+
+Window and reducible count.  Each strand's tau line prints a lower bound
+(4/a for a lens strand, 1/lcm of a and its Chern-Simons denominators for a
+knotted one), tau-hat is the least of those printed values, and the
+margin is one subtraction.  The rank-1 lines run only once "homology
+sphere" has passed with d > 0, so d = 1 there: H^2 of the capped manifold
+is Z with form (-1) and e = 1, which is primitive, so the lattice splits
+and C(e) is the single class {1, -1}.  These are decided in integers;
+check-fs builds no lattice object.
 """
 
 from __future__ import annotations
@@ -50,20 +59,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, isqrt, lcm
 
-from .cstau import (
-    CsDenominatorProfile,
-    TauBound,
-    compactness_margin,
-    tau_hat,
-    tau_lower_from_profile,
-    tau_lower_lens,
-)
+from . import lattice  # the C(e) reader's classes; the checkers build no lattice object
+from .cstau import tau_lower_from_denominator, tau_lower_lens
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
 from .index import ind_plus_seifert_qhs, r_invariant
 from .knots import KNOT_CATALOG, SeifertMatrix, lt_signature
-from .lattice import CeProblem, GramForm, Restriction, detect_orthogonal_split, enumerate_C_e, sfqhs_reducible_count
+from .lattice import sfqhs_reducible_count
 from .lens import LensSpace, rho_lens
 from .seifert import SeifertData, check_h1_z2, d_invariant, meridian_holonomy, torus_knot_surgery
 
@@ -190,6 +193,8 @@ class Strand:
             object.__setattr__(self, "knot", "custom")
         elif self.knot in KNOT_CATALOG and KNOT_CATALOG[self.knot] != self.seifert_matrix:
             raise Degenerate(f"knot {self.knot!r} is given with a Seifert matrix that is not its own")
+        if any(isinstance(k, bool) or operator.index(k) < 1 for k in self.cs_denominators):
+            raise BadParameters(f"strand {self.a}/{self.b}: Chern-Simons denominators must be positive integers")
         object.__setattr__(self, "cs_denominators", frozenset(map(operator.index, self.cs_denominators)))
 
     @property
@@ -227,15 +232,15 @@ def _signature(V: SeifertMatrix, a: int, b: int) -> int:
         ) from exc
 
 
-def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> TauBound | None:
-    c = meridian_holonomy(strand.a, strand.b)
+def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> Fraction | None:
+    # the strand's tau line; its printed value, or None when it is unknown
     if not strand.knotted:
-        L = LensSpace(strand.a, c)
-        bound = tau_lower_lens(L)
+        L = LensSpace(strand.a, meridian_holonomy(strand.a, strand.b))
+        bound = tau_lower_lens(L).value
         lines.add(
             f"tau({L})",
             f"tau >= 4/{strand.a} (lens Chern-Simons values mod 4 lie in (4/{strand.a})Z)",
-            bound.value,
+            bound,
             True,
         )
         return bound
@@ -253,17 +258,13 @@ def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> T
         )
         return None
     denoms.add(strand.a)  # reducibles transfer to the lens space, denominator a
-    profile = CsDenominatorProfile(
-        component=f"surgery {strand.a}/{strand.b} on {strand.knot}",
-        guaranteed_denominators=frozenset(denoms),
-        provenance=prov or "supplied without further provenance",
-    )
-    provenance.append(f"strand {strand.a}/{strand.b} ({strand.knot}): {profile.provenance}")
-    bound = tau_lower_from_profile(profile)
+    provenance.append(f"strand {strand.a}/{strand.b} ({strand.knot}): {prov or 'supplied without further provenance'}")
+    # differences of values with denominators k1, k2 have denominator dividing lcm(k1, k2)
+    bound = tau_lower_from_denominator(lcm(*denoms)).value
     lines.add(
         f"tau(surgery {strand.a}/{strand.b} on {strand.knot})",
         f"tau >= 1/lcm{tuple(sorted(denoms))} (fractional-part bound on relative Chern-Simons values)",
-        bound.value,
+        bound,
         True,
     )
     return bound
@@ -341,27 +342,27 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     lines.add("Ind+ >= 0", "index hypothesis of the parity theorem", ind >= 0, ind >= 0)
     lines.add("Ind+ > 0", "positivity threshold of the definite-bounding obstruction", ind > 0, ind > 0)
 
-    # compactness window
+    # compactness window: tau-hat is the least of the printed strand bounds
     lines.add("p_1", "p_1 = -e.e = d/(a_1...a_n)", p1, 0 < p1)
-    bounds = []
-    for s in strands:
-        bound = _strand_tau_bound(s, lines, provenance)
-        if bound is not None:
-            bounds.append(bound)
-    if len(bounds) == len(strands):
-        th = tau_hat(bounds)
-        margin = compactness_margin(p1, th)
+    bounds = [_strand_tau_bound(s, lines, provenance) for s in strands]
+    if None not in bounds:
+        th = min(bounds)
+        margin = th - p1
         lines.add(
             "0 < p_1 < tau_hat <= 4",
-            f"compactness margin tau_hat - p_1 with tau_hat >= {th.value}",
+            f"compactness margin tau_hat - p_1 with tau_hat >= {th}",
             margin,
-            margin > 0 and th.value <= 4,
+            margin > 0 and th <= 4,
         )
 
-    # reducible count over the capped manifold: rank-1 lattice, e primitive
-    form = GramForm(1, ((Fraction(-d, a),),), scale=a)
-    split = detect_orthogonal_split(form, (1,))
-    count = len(enumerate_C_e(CeProblem(form, (1,))))
+    # reducible count over the capped manifold.  "homology sphere" passed
+    # with d > 0, so d = 1: H^2 is Z with form (-d) and e = 1.  It splits as
+    # span(e) + complement iff e is primitive (|v.e| = gcd(v) for v = -d e),
+    # and C(e), one sign per class, is the odd x >= 0 (x = e mod 2) with
+    # -d x^2 = e.e = -d, that is x^2 = 1 = d
+    e = 1
+    split = gcd(e) == 1
+    count = sum(x * x == d for x in range(1, isqrt(d) + 1, 2))
     lines.add(
         "orthogonal split",
         "H^2 splits as span(e) + complement (capping piece contributes no new classes: "
@@ -625,12 +626,12 @@ def run_problem(data: dict) -> ObstructionReport:
     raise BadParameters(f"unknown problem kind {kind!r}")
 
 
-def _gram_form(data: dict) -> GramForm:
+def _gram_form(data: dict) -> lattice.GramForm:
     gram = _array(data["gram"], "gram", rows=True)
-    return GramForm(data["rank"], tuple(tuple(map(_rational, row)) for row in gram), data.get("scale", 1))
+    return lattice.GramForm(data["rank"], tuple(tuple(map(_rational, row)) for row in gram), data.get("scale", 1))
 
 
-def read_ce_problem(data: dict) -> CeProblem:
+def read_ce_problem(data: dict) -> lattice.CeProblem:
     """A C(e) problem from its description (parsed JSON: ``form``, ``e`` and
     optional ``restrictions``); errors are raised as by :func:`run_problem`."""
     form = _field(data, "form", _gram_form)
@@ -638,5 +639,5 @@ def read_ce_problem(data: dict) -> CeProblem:
     restrictions = ()
     if "restrictions" in data:
         restrictions = _field(data, "restrictions", lambda v: tuple(
-            Restriction(r["modulus"], _array(r["row"], "row")) for r in _array(v, "restrictions")))
-    return CeProblem(form, e, restrictions)
+            lattice.Restriction(r["modulus"], _array(r["row"], "row")) for r in _array(v, "restrictions")))
+    return lattice.CeProblem(form, e, restrictions)

@@ -22,7 +22,8 @@ with the library's fraction-free elimination.
 
 The remaining helpers build test inputs and read results; the library
 itself never calls them: :func:`crt_solve` (Seifert data with a given
-d), :func:`alexander_torus` (torus-knot Alexander polynomials),
+d), :func:`ind_plus_general` (the general index from boundary rho
+values), :func:`alexander_torus` (torus-knot Alexander polynomials),
 :func:`as_dict` (a Laurent polynomial as a dict) and :func:`pairing`
 (x . y of a :class:`~gaugecert.GramForm`).
 """
@@ -166,6 +167,12 @@ def leibniz_det(m) -> dict[int, int]:
         for e, c in prod.items():
             total[e] = total.get(e, 0) + c
     return {e: c for e, c in total.items() if c}
+
+
+def ind_plus_general(p1: Fraction, terms) -> Fraction:
+    """2 p_1 - 3 + (1/2) sum (3 - h - rho) over the nontrivial boundary
+    limits, given as (h, rho) pairs: the general index for b^+(X) = 0."""
+    return 2 * p1 - 3 + sum(Fraction(3 - h - rho, 2) for h, rho in terms)
 
 
 def crt_solve(moduli: Sequence[int], target: int = 1) -> tuple[int, ...]:

@@ -78,6 +78,17 @@ def test_plumbing():
     assert out["det"] == "11"
 
 
+def test_plumbing_text_reads_definiteness(capsys, monkeypatch):
+    # the text form says what the JSON form's negative_definite says
+    from gaugecert import cli
+
+    assert cli.main(["--format", "text", "plumbing", "11", "2"]) == 0
+    assert capsys.readouterr().out == "11/2 = [6, 2]; negative definite, det = 11\n"
+    monkeypatch.setattr(cli, "is_negative_definite", lambda G: False)
+    assert cli.main(["--format", "text", "plumbing", "11", "2"]) == 0
+    assert capsys.readouterr().out == "11/2 = [6, 2]; not negative definite, det = 11\n"
+
+
 def test_rho_transfer():
     r = run("rho-transfer", "2", "1", "--knot", "trefoil")
     assert json.loads(r.stdout) == {"value": "-4"}
@@ -181,6 +192,12 @@ MALFORMED_FILES = [
     ("c-e", {"form": FORM, "e": [1], "restrictions": {}}, "'restrictions'"),
     ("c-e", {"form": FORM, "e": [1], "restrictions": [{"modulus": 2, "row": {}}]}, "'restrictions'"),
     ("c-e", {"form": {"rank": 0, "gram": []}, "e": {}}, "'e'"),
+    # Chern-Simons denominators are positive integers, refused when the strand
+    # is read, also in a report that d = 5 would end before its window
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {**FIGURE8, "cs_denominators": [0]}, STRANDS[2]]}, "'strands'"),
+    ("check-fs", {"kind": "surgery-config",
+                  "strands": [STRANDS[0], {**FIGURE8, "cs_denominators": [-5]}, {"a": 7, "b": -2}]}, "'strands'"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""tau lower bounds, tau-hat assembly, and the compactness margin."""
+"""tau lower bounds and the exact values they take."""
 
 from fractions import Fraction
 
@@ -6,17 +6,11 @@ import pytest
 
 from gaugecert import (
     BadParameters,
-    CsDenominatorProfile,
-    EmptyBoundary,
     HypothesisFailed,
     LensSpace,
-    NegativeCharge,
     SeifertData,
     TauBound,
-    compactness_margin,
-    tau_hat,
     tau_lower_from_denominator,
-    tau_lower_from_profile,
     tau_lower_lens,
     tau_lower_seifert,
 )
@@ -45,37 +39,6 @@ def test_seifert_bounds():
         tau_lower_seifert(SeifertData(((3, 1), (5, 1))))  # d = 8 even
 
 
-def test_profile_bound():
-    prof = CsDenominatorProfile(
-        component="surgery piece",
-        guaranteed_denominators=frozenset({3, 24}),
-        provenance="external computation",
-    )
-    assert tau_lower_from_profile(prof).value == Fraction(1, 24)
-    with pytest.raises(BadParameters):
-        CsDenominatorProfile("x", frozenset({24}), provenance="")
-    with pytest.raises(BadParameters):
-        CsDenominatorProfile("x", frozenset(), provenance="external computation")
-    with pytest.raises(TypeError):
-        CsDenominatorProfile("x", frozenset({24.5}), provenance="external computation")
-
-
-def test_tau_hat():
-    bounds = [tau_lower_lens(LensSpace(2, 1)), tau_lower_lens(LensSpace(11, 9)),
-              tau_lower_from_denominator(24)]
-    assert tau_hat(bounds).value == Fraction(1, 24)
-    assert tau_hat([tau_lower_lens(LensSpace(3, 1))]).value == Fraction(4, 3)
-    with pytest.raises(EmptyBoundary):
-        tau_hat([])
-
-
-def test_tau_hat_monotone():
-    bounds = [tau_lower_from_denominator(5)]
-    before = tau_hat(bounds).value
-    bounds.append(tau_lower_from_denominator(7))
-    assert tau_hat(bounds).value <= before
-
-
 def test_bound_range_invariant():
     with pytest.raises(BadParameters):
         TauBound(Fraction(5))
@@ -96,22 +59,12 @@ NOT_EXACT = [0.1, 0.5, True, False, "1/2", None]
 def test_exact_values_only(value):
     with pytest.raises(BadParameters, match="tau bound must be an int or a Fraction"):
         TauBound(value)
-    with pytest.raises(BadParameters, match="p_1 must be an int or a Fraction"):
-        compactness_margin(value, tau_lower_from_denominator(24))
 
 
 def test_exact_values_kept():
     third = Fraction(1, 3)
     assert TauBound(third).value is third
     assert TauBound(2).value == 2 and type(TauBound(2).value) is Fraction
-    assert compactness_margin(0, TauBound(third)) == third
-
-
-def test_compactness_margin():
-    assert compactness_margin(Fraction(1, 66), tau_lower_from_denominator(24)) == Fraction(7, 264)
-    assert compactness_margin(Fraction(1, 24), tau_lower_from_denominator(24)) == 0
-    with pytest.raises(NegativeCharge):
-        compactness_margin(Fraction(-1, 2), tau_lower_from_denominator(24))
 
 
 def test_sfqhs_inequality_suite():

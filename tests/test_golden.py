@@ -11,7 +11,9 @@ class map was made one pass; the degenerate genus-2 and the genus-3
 surgery configurations before the signatures were read from one integer
 polynomial; the scale-6 C(e) report before every form was validated by one
 integer route; the family reports with d = 37 > pq and with d = 1 before
-check-family decided its rationals by cross-multiplying integers.  Each
+check-family decided its rationals by cross-multiplying integers; the
+surgery configuration with a failing compactness margin before check-fs
+decided its window and rank-1 lines without lattice or tau-hat objects.  Each
 output must stay byte identical; the call counts pin
 that each knotted strand's signature, which also decides its
 nondegeneracy, and each strand's cotangent sum are computed once, and
@@ -23,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import gaugecert.cli as cli
+import gaugecert.lattice as lattice
 import gaugecert.lens as lens
 import gaugecert.obstruct as obstruct
 from gaugecert import CycloElement, SeifertData
@@ -36,6 +39,8 @@ CASES = (
     "genus2_degenerate",
     # a genus-3 knotted strand, nondegenerate at 5/-1
     "genus3_nondegenerate",
+    # a user denominator of 10^6 puts tau_hat = 1/3000000 below p_1 = 1/66
+    "fs_window_fails",
 )
 GENUS2 = "[[-2,1,0,0],[0,-1,0,1],[0,0,-1,1],[0,1,0,-2]]"
 # a genus-4 transfer at a = 31; its signs are certified at the first precision, and
@@ -197,3 +202,19 @@ def test_one_seifert_space_per_family_report(monkeypatch):
     report = _family_3_5_7()
     assert report.conclusion == obstruct.INDEPENDENT
     assert calls == [(3, 5, 7, 2400)]
+
+
+# check-fs decides its rank-1 lines in integers: once "homology sphere" has
+# passed, H^2 is Z with form (-1) and e = 1, so no lattice object is built
+def test_check_fs_goldens_build_no_lattice(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    built = []
+    for cls in (lattice.GramForm, lattice.CeProblem):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=init: built.append(type(self)) or init(self))
+    argvs = [p.values[0] for p in REPORTS if "check-fs" in p.values[0]]
+    assert len(argvs) == 2 * len(CASES) + 3
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert built == []

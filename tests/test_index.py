@@ -1,5 +1,6 @@
-"""Index formulas: the general boundary-sum expression, K coefficients,
-and the two (always cross-checked) Seifert forms."""
+"""Index formulas: the general boundary-sum expression (an oracle in the
+tests) against R, K coefficients, and the two (always cross-checked)
+Seifert forms."""
 
 import random
 from fractions import Fraction
@@ -8,16 +9,11 @@ from math import gcd
 import pytest
 
 from gaugecert import (
-    BadParameters,
-    BoundaryTerm,
     Degenerate,
-    GaugeCertError,
-    IndexInputs,
     LensSpace,
     NotHomologySphere,
     SeifertData,
     d_invariant,
-    ind_plus_general,
     ind_plus_seifert_qhs,
     k_coefficients,
     meridian_holonomy,
@@ -26,27 +22,7 @@ from gaugecert import (
     torus_knot_surgery,
 )
 
-from oracles import crt_solve
-
-
-def test_ind_plus_general_trivial():
-    inp = IndexInputs(Fraction(0), (BoundaryTerm(3, Fraction(0), trivial=True),))
-    assert ind_plus_general(inp) == -3
-
-
-def test_boundary_term_invariant():
-    with pytest.raises(GaugeCertError):
-        BoundaryTerm(1, Fraction(0), trivial=True)
-
-
-@pytest.mark.parametrize("value", [0.3, 0.25, True, False, "1/2", None])
-def test_index_inputs_exact_values_only(value):
-    # a float's value is not the one written, and a bool is not a number
-    with pytest.raises(BadParameters, match="rho must be an int or a Fraction"):
-        BoundaryTerm(1, value)
-    with pytest.raises(BadParameters, match="p_1 must be an int or a Fraction"):
-        IndexInputs(value, ())
-    assert IndexInputs(Fraction(1, 4), (BoundaryTerm(1, 2),)).boundary_terms[0].rho == 2
+from oracles import crt_solve, ind_plus_general
 
 
 def test_ind_plus_general_sigma_2_3_11():
@@ -55,9 +31,9 @@ def test_ind_plus_general_sigma_2_3_11():
     def strand_rho(a, b):
         return -rho_lens(LensSpace(a, b), meridian_holonomy(a, b % a))
 
-    terms = tuple(BoundaryTerm(1, strand_rho(a, b)) for a, b in ((2, 1), (3, 1), (11, -9)))
-    inp = IndexInputs(Fraction(1, 66), terms)
-    assert ind_plus_general(inp) == 1
+    pairs = ((2, 1), (3, 1), (11, -9))
+    terms = [(1, strand_rho(a, b)) for a, b in pairs]
+    assert ind_plus_general(Fraction(1, 66), terms) == 1 == r_invariant(SeifertData(pairs))
 
 
 def test_k_coefficients():

@@ -4,7 +4,7 @@ rho transfer, determinism, JSON serialization and the problem reader."""
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -28,6 +28,8 @@ from gaugecert import (
     run_problem,
 )
 from gaugecert.obstruct import HypothesisLine, INCONCLUSIVE, INDEPENDENT, OBSTRUCTED
+
+from oracles import crt_solve
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,75 @@ def test_surgery_config_user_profile():
     assert r.line("Ind+").value == "-1"
     assert r.conclusion == INCONCLUSIVE
     assert any("test fixture" in note for note in r.provenance)
+
+
+def test_fs_window_lines_match_definition():
+    # every tau(...) line and the 0 < p_1 < tau_hat <= 4 line against Fraction
+    # arithmetic, on d = +-1 configurations of lens strands and catalog knots,
+    # some with user denominators; no a = 6, where the trefoil is degenerate
+    rng = random.Random(21)
+    verdicts = []
+    for _ in range(400):
+        moduli = []
+        for _ in range(rng.randint(2, 4)):
+            moduli.append(rng.choice([m for m in range(2, 30) if m != 6 and all(gcd(m, x) == 1 for x in moduli)]))
+        bs = list(crt_solve(moduli, rng.choice((1, -1))))
+        i, j = rng.sample(range(len(moduli)), 2)
+        k = rng.randint(-2, 2)
+        bs[i], bs[j] = bs[i] + k * moduli[i], bs[j] - k * moduli[j]
+        strands = []
+        for a, b in zip(moduli, bs):
+            knot = rng.choice(("unknot", "unknot", "trefoil", "figure8"))
+            denoms = frozenset(rng.sample((8, 12, 24, 120, 10**6), rng.randint(1, 2))) if rng.random() < 0.6 else ()
+            strands.append(Strand(a, b, knot, cs_denominators=denoms, provenance="fixture" if denoms else ""))
+        r = check_surgery_config(strands)
+        names = [h.name for h in r.hypotheses]
+        if "p_1" not in names:
+            continue
+        A, d = 1, 0
+        for a, b in zip(moduli, bs):
+            A, d = A * a, d * a + b * A
+        p1 = Fraction(1, A)
+        expected, bounds = [], []
+        for s in strands:
+            a, b = s.a, s.b * d  # d = +-1 orients the configuration
+            if s.knot == "unknot":
+                tau = Fraction(4, a)
+                formula = f"tau >= 4/{a} (lens Chern-Simons values mod 4 lie in (4/{a})Z)"
+                expected.append((f"tau(L({a},{-b % a}))", formula, str(tau), "pass"))
+            else:
+                denoms = set(s.cs_denominators) or ({24} if (s.knot, a, b % a) == ("figure8", 3, 1) else set())
+                if not denoms:
+                    formula = "Chern-Simons denominators of irreducible flat connections required"
+                    expected.append((f"tau(strand {a}/{b})", formula, "unknown", "fail"))
+                    continue
+                denoms.add(a)
+                tau = Fraction(1, lcm(*denoms))
+                formula = f"tau >= 1/lcm{tuple(sorted(denoms))} (fractional-part bound on relative Chern-Simons values)"
+                expected.append((f"tau(surgery {a}/{b} on {s.knot})", formula, str(tau), "pass"))
+            bounds.append(tau)
+        window = [(h.name, h.formula, h.value, h.verdict) for h in r.hypotheses if h.name.startswith("tau(")]
+        assert window == expected, [(s.a, s.b, s.knot, s.cs_denominators) for s in strands]
+        if len(bounds) < len(strands):
+            assert "0 < p_1 < tau_hat <= 4" not in names and r.conclusion == INCONCLUSIVE
+            continue
+        tau_hat = min(bounds)
+        line = r.line("0 < p_1 < tau_hat <= 4")
+        formula = f"compactness margin tau_hat - p_1 with tau_hat >= {tau_hat}"
+        assert (line.value, line.formula) == (str(tau_hat - p1), formula)
+        assert line.verdict == ("pass" if 0 < p1 < tau_hat <= 4 else "fail")
+        verdicts.append(line.verdict)
+    assert min(verdicts.count("pass"), verdicts.count("fail")) >= 50
+
+
+def test_fs_window_is_strict():
+    # tau_hat = 1/lcm(5, 6) = p_1 = 1/30: a zero margin fails
+    knotted = Strand(5, -4, "figure8", cs_denominators=frozenset({6}), provenance="fixture")
+    r = check_surgery_config((Strand(2, 1), Strand(3, 1), knotted))
+    line = r.line("0 < p_1 < tau_hat <= 4")
+    assert (line.value, line.verdict) == ("0", "fail")
+    assert line.formula == "compactness margin tau_hat - p_1 with tau_hat >= 1/30"
+    assert r.conclusion == INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +415,14 @@ def test_strand_names_its_knot_once():
     assert Strand(3, -1, knot="figure8", seifert_matrix=KNOT_CATALOG["figure8"]) == Strand(3, -1, knot="figure8")
     assert Strand(3, -1, seifert_matrix=KNOT_CATALOG["trefoil"]).knot == "custom"
     assert Strand(3, -1, knot="mine", seifert_matrix=KNOT_CATALOG["trefoil"]).knot == "mine"
+
+
+@pytest.mark.parametrize("denoms", [{0}, {-5}, {24, 0}, {True}])
+def test_strand_refuses_bad_denominators(denoms):
+    # refused when the strand is built, not when a report reaches its window;
+    # operator.index would read True as 1
+    with pytest.raises(BadParameters, match="strand 3/-1: Chern-Simons denominators must be positive integers"):
+        Strand(3, -1, knot="figure8", cs_denominators=frozenset(denoms), provenance="fixture")
 
 
 def test_custom_seifert_matrix_strand():
