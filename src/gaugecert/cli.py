@@ -171,9 +171,7 @@ def _cmd_check_family(args) -> tuple[dict, str]:
 
 def _cmd_rho_transfer(args) -> tuple[dict, str]:
     if args.seifert_matrix is not None:
-        # parsed first, so that the boolean check sees the matrix
-        value = _field(vars(args), "seifert_matrix", json.loads)
-        matrix = _field({"seifert_matrix": value}, "seifert_matrix", _seifert_matrix)
+        matrix = _field(vars(args), "seifert_matrix", lambda v: _seifert_matrix(json.loads(v)))
     else:
         matrix = KNOT_CATALOG[args.knot or "unknot"]
     value = rho_transfer_surgery(LensSpace(args.a, args.b), matrix)

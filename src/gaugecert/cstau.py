@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, HypothesisFailed
-from .exactnum import exact_rational
+from .exactnum import exact_int, exact_rational
 from .lens import LensSpace
 from .seifert import SeifertData, d_invariant
 
@@ -60,7 +60,7 @@ def tau_lower_from_denominator(k: int) -> TauBound:
     """tau >= 1/k when all relevant Chern-Simons values have denominator
     dividing k (differences of such values have fractional part 0 or >= 1/k,
     and the relative value of a non-flat-cobordant pair is nonzero mod 1)."""
-    if k < 1:
+    if exact_int(k, "denominator") < 1:
         raise BadParameters("denominator must be a positive integer")
     return TauBound(Fraction(1, k))
 

@@ -1,8 +1,10 @@
 """Exact arithmetic foundation.
 
 All rational quantities in the package are :class:`fractions.Fraction`
-(arbitrary precision, always in lowest terms with positive denominator),
-and an exact value is read in by :func:`exact_rational`.  This module gives:
+(arbitrary precision, always in lowest terms with positive denominator).
+Every integer input is read in by :func:`exact_int` and every rational one by
+:func:`exact_rational`; a float or bool raises :class:`BadParameters` naming
+the argument.  This module gives:
 
 * division with remainder by a monic integer polynomial
   (:func:`poly_divmod`), which builds the cyclotomic polynomials and
@@ -63,6 +65,13 @@ def inverse_mod(x: int, m: int) -> int:
         raise NoSolution(f"{x} is not invertible mod {m}") from None
 
 
+def exact_int(value, name: str) -> int:
+    """value itself if its type is int: not a bool, a float or another int subclass."""
+    if type(value) is int:
+        return value
+    raise BadParameters(f"{name} must be an int, not {type(value).__name__}")
+
+
 def exact_rational(value, name: str) -> Fraction:
     """value as a Fraction: a Fraction as is, or an int that is not a bool."""
     if isinstance(value, Fraction):
@@ -73,7 +82,7 @@ def exact_rational(value, name: str) -> Fraction:
 
 
 def euler_phi(a: int) -> int:
-    if a < 1:
+    if exact_int(a, "a") < 1:
         raise BadParameters(f"euler_phi needs a >= 1, got {a}")
     result = a
     n, p = a, 2
@@ -118,14 +127,14 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list
     return quo, rem[: len(den) - 1]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def cyclotomic_poly(a: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the a-th cyclotomic polynomial Phi_a.
 
     Computed by exact division of x^a - 1 by the Phi_m for proper divisors
-    m of a; memoized.
+    m of a; memoized by type and value, so that True is not read as 1.
     """
-    if a < 1:
+    if exact_int(a, "cyclotomic order") < 1:
         raise BadParameters(f"cyclotomic order must be >= 1, got {a}")
     poly = [-1] + [0] * (a - 1) + [1]  # x^a - 1
     for m in _divisors(a):
@@ -195,7 +204,7 @@ class CycloElement:
     @staticmethod
     def zeta(order: int, exponent: int = 1) -> "CycloElement":
         table = _zeta_power_table(order)
-        return CycloElement(order, table[exponent % order])
+        return CycloElement(order, table[exact_int(exponent, "exponent") % order])
 
     # -- ring / field operations -------------------------------------------
 
@@ -360,6 +369,7 @@ def cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
     sum for E(m), the term-by-term evaluation in Q(zeta_a), and an mpmath
     float sum.
     """
+    a, b, l = exact_int(a, "a"), exact_int(b, "b"), exact_int(l, "l")
     if a < 1:
         raise BadParameters("a must be positive")
     b %= a
@@ -400,9 +410,9 @@ class HJExpansion:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not (0 < self.b < self.a and gcd(self.a, self.b) == 1):
+        if not (0 < exact_int(self.b, "b") < exact_int(self.a, "a") and gcd(self.a, self.b) == 1):
             raise BadParameters(f"need 0 < b < a with gcd(a, b) = 1, got {self.a}/{self.b}")
-        if any(c < 2 for c in self.terms):
+        if any(exact_int(c, "terms entry") < 2 for c in self.terms):
             raise BadParameters("Hirzebruch-Jung terms must be >= 2")
         if (1, *continuants(self.terms[::-1], [1] * (len(self.terms) - 1)))[-2:] != (self.b, self.a):
             raise BadParameters(f"Hirzebruch-Jung terms {list(self.terms)} do not evaluate to {self.a}/{self.b}")
@@ -428,7 +438,7 @@ MAX_CHAIN_LENGTH = 1000
 def hj_expand(a: int, b: int) -> HJExpansion:
     """Hirzebruch-Jung expansion of a/b for 0 < b < a, gcd(a, b) = 1, with
     at most :data:`MAX_CHAIN_LENGTH` terms."""
-    if not (0 < b < a):
+    if not (0 < exact_int(b, "b") < exact_int(a, "a")):
         raise BadParameters("need 0 < b < a")
     if gcd(a, b) != 1:
         raise BadParameters(f"gcd({a}, {b}) != 1")

@@ -41,13 +41,12 @@ built-in catalog (unknot, trefoil, figure8).
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .errors import BadParameters, InternalCheckError, SingularPivot
-from .exactnum import cyclotomic_poly, euler_phi, poly_divmod
+from .exactnum import cyclotomic_poly, euler_phi, exact_int, poly_divmod
 from .matutil import det_int
 
 __all__ = [
@@ -76,7 +75,8 @@ class LaurentPoly:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        clean = tuple(sorted((int(e), int(c)) for e, c in self.terms if c != 0))
+        terms = [(exact_int(e, "exponent"), exact_int(c, "coefficient")) for e, c in self.terms]
+        clean = tuple(sorted(t for t in terms if t[1]))
         if len({e for e, _ in clean}) != len(clean):
             raise BadParameters("repeated exponents")
         object.__setattr__(self, "terms", clean)
@@ -162,7 +162,7 @@ def nondegenerate_at(poly: LaurentPoly, a: int, b: int) -> bool:
     polynomial is Phi_a, so this holds iff Phi_a does not divide
     t^(-lo) poly, lo the lowest exponent.  a is at most
     :data:`MAX_KNOT_ORDER`."""
-    if gcd(a, b) != 1:
+    if gcd(exact_int(a, "a"), exact_int(b, "b")) != 1:
         raise BadParameters(f"gcd({a}, {b}) != 1")
     _check_order(a)
     terms = dict(poly.terms)
@@ -183,7 +183,7 @@ class SeifertMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
+        rows = tuple(tuple(exact_int(x, "Seifert matrix entry") for x in row) for row in self.rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise BadParameters("Seifert matrix must be square")
@@ -340,10 +340,10 @@ def lt_signature(V: SeifertMatrix, a: int, b: int) -> int:
     polynomial), and :class:`InternalCheckError` when C(lambda, sigma) is
     not even in sigma or the root count is not n.
     """
-    if a < 2:
+    if exact_int(a, "a") < 2:
         raise BadParameters("need a >= 2")
     _check_order(a)
-    if b % a == 0:
+    if exact_int(b, "b") % a == 0:
         raise BadParameters("omega = 1 is excluded")
     n = V.size
     if n == 0:

@@ -43,13 +43,12 @@ before their elimination.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import BadParameters, HypothesisFailed, InternalCheckError, NotDefinite
-from .exactnum import HJExpansion, continuants
+from .exactnum import HJExpansion, continuants, exact_int, exact_rational
 from .matutil import bareiss_leading_minors, bareiss_rows, det_int
 
 __all__ = [
@@ -75,7 +74,7 @@ __all__ = [
 class GramForm:
     """Symmetric rational pairing with values in (1/scale) Z.
 
-    Integer entries are kept as they are, any other becomes a Fraction, and
+    Integer and Fraction entries are kept as they are (a float or bool is refused), and
     scale * gram must be a symmetric integer matrix: it is kept as ``rows``,
     which all arithmetic on the form reads.  Whether ``rows`` is
     tridiagonal, and then its leading minors, are found once per form.
@@ -87,8 +86,8 @@ class GramForm:
     rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rank", operator.index(self.rank))
-        scale = operator.index(self.scale)
+        object.__setattr__(self, "rank", exact_int(self.rank, "rank"))
+        scale = exact_int(self.scale, "scale")
         object.__setattr__(self, "scale", scale)
         if scale < 1:
             raise BadParameters("scale must be a positive integer")
@@ -98,7 +97,7 @@ class GramForm:
         if scale == 1 and all(set(map(type, row)) <= {int} for row in gram):
             rows = gram
         else:
-            gram = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in gram)
+            gram = tuple(tuple(x if type(x) is int else exact_rational(x, "gram entry") for x in row) for row in gram)
             # scale * x is an integer iff the reduced denominator of x divides scale
             if any(scale % x.denominator for row in gram for x in row):
                 raise BadParameters("scale * gram must be integral")
@@ -179,10 +178,10 @@ class Restriction:
     row: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modulus", operator.index(self.modulus))
+        object.__setattr__(self, "modulus", exact_int(self.modulus, "modulus"))
         if self.modulus < 1:
             raise BadParameters("restriction modulus must be positive")
-        object.__setattr__(self, "row", tuple(map(operator.index, self.row)))
+        object.__setattr__(self, "row", tuple(exact_int(x, "row entry") for x in self.row))
 
 
 #: Largest rank of a C(e) form: its elimination is cubic in the rank and
@@ -209,7 +208,7 @@ class CeProblem:
     def __post_init__(self) -> None:
         if self.form.rank > MAX_CE_RANK:
             raise BadParameters(f"C(e) form of rank {self.form.rank} exceeds the limit {MAX_CE_RANK}")
-        object.__setattr__(self, "e", tuple(map(operator.index, self.e)))
+        object.__setattr__(self, "e", tuple(exact_int(x, "e entry") for x in self.e))
         object.__setattr__(self, "restrictions", tuple(self.restrictions))
         if len(self.e) != self.form.rank:
             raise BadParameters("class length does not match form rank")
@@ -380,7 +379,7 @@ def detect_orthogonal_split(G: GramForm, e) -> bool:
     """
     if not is_negative_definite(G):
         raise NotDefinite("orthogonal split test requires a negative definite form")
-    e = tuple(map(operator.index, e))
+    e = tuple(exact_int(x, "e entry") for x in e)
     if len(e) != G.rank:
         raise BadParameters("class length does not match form rank")
     if all(x == 0 for x in e):
@@ -428,6 +427,7 @@ def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int, torsion_odd: bool
     and reports every solution.  Requires a > d^2 and p, q, d pairwise coprime, odd
     and positive, and the assertion that the relative torsion is odd.
     """
+    p, q, d, n_last = map(exact_int, (p, q, d, n_last), ("p", "q", "d", "n_last"))
     if min(p, q, d) < 1 or p % 2 == 0 or q % 2 == 0 or d % 2 == 0:
         raise HypothesisFailed("p, q, d must be positive and odd")
     if gcd(p, q) != 1 or gcd(p, d) != 1 or gcd(q, d) != 1:

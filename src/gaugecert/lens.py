@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import BadParameters, InternalCheckError
-from .exactnum import cot_cot_sin2_sum, inverse_mod
+from .exactnum import cot_cot_sin2_sum, exact_int, inverse_mod
 
 __all__ = ["LensSpace", "nz_closed_form", "rho_lens"]
 
@@ -46,9 +46,9 @@ class LensSpace:
     b: int
 
     def __post_init__(self) -> None:
-        if self.a < 2:
+        if exact_int(self.a, "a") < 2:
             raise BadParameters("lens space order a must be at least 2")
-        if gcd(self.a, self.b) != 1:
+        if gcd(self.a, exact_int(self.b, "b")) != 1:
             raise BadParameters(f"gcd({self.a}, {self.b}) != 1")
         object.__setattr__(self, "b", self.b % self.a)
 
@@ -62,7 +62,7 @@ class LensSpace:
 
 def rho_lens(L: LensSpace, l: int) -> Fraction:
     """Exact rho invariant of the flat SO(2) connection with holonomy
-    mu -> exp(2 pi i l / a) on L(a, b); l is reduced mod a."""
+    mu -> exp(2 pi i l / a) on L(a, b); l is an int, reduced mod a."""
     s = cot_cot_sin2_sum(L.a, L.b, l)
     return Fraction(4 * s.numerator, L.a * s.denominator)
 
@@ -74,9 +74,9 @@ def nz_closed_form(a: int, c: int) -> Fraction:
     for gcd(a, c) = 1; the agreement with the exact sum is part of the
     acceptance suite.
     """
-    if a < 2:
+    if exact_int(a, "a") < 2:
         raise BadParameters("need a >= 2")
-    if gcd(a, c) != 1:
+    if gcd(a, exact_int(c, "c")) != 1:
         raise BadParameters(f"gcd({a}, {c}) != 1")
     cstar = (-inverse_mod(c % a, a)) % a
     if not 0 < cstar < a or (c * cstar) % a != a - 1:

@@ -25,10 +25,11 @@ def _bareiss(rows: Sequence[Sequence[int]], swap_rows: bool) -> tuple[list[int],
     # those minors, signed by the row swaps made so far, and the eliminated
     # matrix, whose row k is final from column k on; after a zero pivot (no
     # nonzero entry to swap up) the minors are padded with zeros.
-    m = [list(map(int, row)) for row in rows]
+    m = [list(row) for row in rows]
     r = len(m)
-    if any(len(row) != r for row in m):
-        raise BadParameters("matrix must be square")
+    # one C-speed type test per row, not a call per entry
+    if any(len(row) != r or not set(map(type, row)) <= {int} for row in m):
+        raise BadParameters("matrix must be square, with int entries")
     minors: list[int] = []
     sign = prev = 1
     for k in range(r):

@@ -54,7 +54,6 @@ check-fs builds no lattice object.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +63,7 @@ from math import gcd, isqrt, lcm
 from . import lattice  # the C(e) reader's classes; the checkers build no lattice object
 from .cstau import tau_lower_from_denominator, tau_lower_lens
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
+from .exactnum import exact_int
 from .index import ind_plus_seifert_qhs, r_invariant
 from .knots import KNOT_CATALOG, SeifertMatrix, lt_signature
 from .lattice import sfqhs_reducible_count
@@ -171,9 +171,10 @@ CS_DENOMINATOR_CATALOG: dict[tuple[str, int, int], tuple[frozenset[int], str]] =
 @dataclass(frozen=True)
 class Strand:
     """One meridian strand: surgery coefficient a/b with a > 0, an optional
-    knot (catalog name or explicit Seifert matrix; unknot by default), and
-    optional user-supplied Chern-Simons denominators for the irreducible
-    flat connections on the surgered piece, with mandatory provenance."""
+    knot (catalog name or explicit Seifert matrix; unknot by default), and,
+    on a knotted strand only, optional user-supplied Chern-Simons
+    denominators for the irreducible flat connections on the surgered
+    piece, with a mandatory non-empty provenance."""
 
     a: int
     b: int
@@ -183,7 +184,7 @@ class Strand:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        if self.a < 1 or gcd(self.a, self.b) != 1:
+        if exact_int(self.a, "a") < 1 or gcd(self.a, exact_int(self.b, "b")) != 1:
             raise Degenerate(f"strand ({self.a}, {self.b}) is not a coprime pair with a >= 1")
         if self.seifert_matrix is None:
             if self.knot not in KNOT_CATALOG:
@@ -193,9 +194,13 @@ class Strand:
             object.__setattr__(self, "knot", "custom")
         elif self.knot in KNOT_CATALOG and KNOT_CATALOG[self.knot] != self.seifert_matrix:
             raise Degenerate(f"knot {self.knot!r} is given with a Seifert matrix that is not its own")
-        if any(isinstance(k, bool) or operator.index(k) < 1 for k in self.cs_denominators):
-            raise BadParameters(f"strand {self.a}/{self.b}: Chern-Simons denominators must be positive integers")
-        object.__setattr__(self, "cs_denominators", frozenset(map(operator.index, self.cs_denominators)))
+        strand = f"strand {self.a}/{self.b}"
+        denoms = frozenset(exact_int(k, f"{strand}: Chern-Simons denominator") for k in self.cs_denominators)
+        if min(denoms, default=1) < 1:
+            raise BadParameters(f"{strand}: Chern-Simons denominators must be positive integers")
+        if denoms and not (self.knotted and self.provenance):
+            raise BadParameters(f"{strand}: Chern-Simons denominators need a knotted strand and a provenance")
+        object.__setattr__(self, "cs_denominators", denoms)
 
     @property
     def knotted(self) -> bool:
@@ -258,7 +263,7 @@ def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> F
         )
         return None
     denoms.add(strand.a)  # reducibles transfer to the lens space, denominator a
-    provenance.append(f"strand {strand.a}/{strand.b} ({strand.knot}): {prov or 'supplied without further provenance'}")
+    provenance.append(f"strand {strand.a}/{strand.b} ({strand.knot}): {prov}")
     # differences of values with denominators k1, k2 have denominator dividing lcm(k1, k2)
     bound = tau_lower_from_denominator(lcm(*denoms)).value
     lines.add(
@@ -410,11 +415,8 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     than 1/d, which never binds, so only the largest n is built as a
     Seifert space.
     """
-    n_list = tuple(n_list)
-    for name, values in (("p", (p,)), ("q", (q,)), ("d", (d,)), ("n_list", n_list)):
-        if any(isinstance(v, bool) for v in values):
-            raise BadParameters(f"{name} holds a boolean, not an integer")
-    n_list = tuple(map(operator.index, n_list))
+    p, q, d = exact_int(p, "p"), exact_int(q, "q"), exact_int(d, "d")
+    n_list = tuple(exact_int(n, "n_list entry") for n in n_list)
     problem = {"kind": "sfqhs-family", "p": p, "q": q, "d": d, "n_list": list(n_list)}
     lines = _Lines()
     provenance: list[str] = []
@@ -529,11 +531,10 @@ def _strand_from_json(data: dict) -> Strand:
         if not isinstance(data.get(key, ""), str):
             raise TypeError(f"{key!r} must be a string, not {type(data[key]).__name__}")
     return Strand(
-        a=operator.index(data["a"]),
-        b=operator.index(data["b"]),
+        a=data["a"], b=data["b"],
         knot=data.get("knot", "unknot"),
         seifert_matrix=matrix,
-        cs_denominators=frozenset(_array(data.get("cs_denominators", []), "cs_denominators")),
+        cs_denominators=_array(data.get("cs_denominators", []), "cs_denominators"),
         provenance=data.get("provenance", ""),
     )
 
@@ -564,10 +565,8 @@ def render_text(report: ObstructionReport) -> str:
 
 
 def _rational(x):
-    # a gram entry: a JSON integer or a "num/den" string
-    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
-        return Fraction(x)
-    return operator.index(x)
+    # a gram entry: a "num/den" string as a Fraction, else as is for GramForm to check
+    return Fraction(x) if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x) else x
 
 
 def _array(value, name: str, rows: bool = False) -> list:
@@ -583,22 +582,13 @@ def _seifert_matrix(value) -> SeifertMatrix:
     return SeifertMatrix(_array(value, "seifert_matrix", rows=True))
 
 
-def _has_bool(value) -> bool:
-    if isinstance(value, (list, dict)):
-        return any(map(_has_bool, value.values() if isinstance(value, dict) else value))
-    return isinstance(value, bool)
-
-
 def _field(data: dict, name: str, parse):
     # parse(data[name]); a top level that is not an object, or a missing or
-    # malformed field, raises BadParameters naming it.  No input has a
-    # boolean field, and operator.index would read true/false as 1/0.
+    # malformed field, raises BadParameters naming it
     if not isinstance(data, dict):
         raise BadParameters(f"the input must be a JSON object, not {type(data).__name__}")
     if name not in data:
         raise BadParameters(f"field {name!r} is missing")
-    if _has_bool(data[name]):
-        raise BadParameters(f"field {name!r} is malformed: it holds a JSON boolean")
     try:
         return parse(data[name])
     except (TypeError, ValueError, AttributeError, KeyError, ZeroDivisionError) as exc:
@@ -620,8 +610,8 @@ def run_problem(data: dict) -> ObstructionReport:
         strands = _field(data, "strands", lambda v: tuple(map(_strand_from_json, _array(v, "strands"))))
         return check_surgery_config(strands)
     if kind == "sfqhs-family":
-        p, q, d = (_field(data, name, operator.index) for name in "pqd")
-        n_list = _field(data, "n_list", lambda v: tuple(map(operator.index, _array(v, "n_list"))))
+        p, q, d = (_field(data, name, lambda v: exact_int(v, name)) for name in "pqd")
+        n_list = _field(data, "n_list", lambda v: tuple(exact_int(n, "n_list entry") for n in _array(v, "n_list")))
         return check_sfqhs_family(p, q, d, n_list)
     raise BadParameters(f"unknown problem kind {kind!r}")
 
@@ -635,7 +625,7 @@ def read_ce_problem(data: dict) -> lattice.CeProblem:
     """A C(e) problem from its description (parsed JSON: ``form``, ``e`` and
     optional ``restrictions``); errors are raised as by :func:`run_problem`."""
     form = _field(data, "form", _gram_form)
-    e = _field(data, "e", lambda v: tuple(map(operator.index, _array(v, "e"))))
+    e = _field(data, "e", lambda v: tuple(exact_int(x, "e entry") for x in _array(v, "e")))
     restrictions = ()
     if "restrictions" in data:
         restrictions = _field(data, "restrictions", lambda v: tuple(

@@ -23,12 +23,11 @@ deterministic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import BadParameters, InternalCheckError
-from .exactnum import inverse_mod
+from .exactnum import exact_int, inverse_mod
 
 __all__ = [
     "SeifertData",
@@ -46,7 +45,7 @@ class SeifertData:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((operator.index(a), operator.index(b)) for a, b in self.pairs)
+        pairs = tuple((exact_int(a, "a_i"), exact_int(b, "b_i")) for a, b in self.pairs)
         for a, b in pairs:
             if a < 1:
                 raise BadParameters(f"multiplicity {a} must be positive")
@@ -90,7 +89,7 @@ def meridian_holonomy(a: int, b: int) -> int:
     """Holonomy exponent of the meridian under the linking form: the flat
     SO(2) connection determined by the surgery strand sends the meridian to
     exp(2 pi i l / a) with l = -b mod a, normalized into [1, a-1]."""
-    if a < 1 or gcd(a, b) != 1:
+    if exact_int(a, "a") < 1 or gcd(a, exact_int(b, "b")) != 1:
         raise BadParameters(f"need a >= 1 and gcd(a, b) = 1, got ({a}, {b})")
     return (-b) % a
 
@@ -113,6 +112,7 @@ def torus_knot_surgery(p: int, q: int, d: int, n: int) -> SeifertData:
     Requires gcd(p, q) = 1, gcd(d, n) = 1 and pq n - d > n > 0; the
     d-invariant of the output is d.
     """
+    p, q, d, n = map(exact_int, (p, q, d, n), ("p", "q", "d", "n"))
     if p < 2 or q < 2:
         raise BadParameters(f"torus knot parameters p and q must be at least 2, got p = {p}, q = {q}")
     if gcd(p, q) != 1:

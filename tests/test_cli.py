@@ -162,7 +162,7 @@ MALFORMED_FILES = [
     ("c-e", {"form": FORM, "e": 5}, "'e'"),
     ("c-e", {"form": FORM, "e": [1.7]}, "'e'"),
     ("c-e", {"form": {**FORM, "scale": 1.5}, "e": [1]}, "'form'"),
-    # JSON booleans are not integers, though operator.index takes them
+    # JSON booleans are not integers, and no reader takes true as 1
     ("check-fs", {"kind": "seifert", "pairs": [[2, True], [3, 1], [5, -4]]}, "'pairs'"),
     ("c-e", {"form": {"rank": 1, "gram": [[False]]}, "e": [1]}, "'form'"),
     # knot names and provenance notes are strings

@@ -148,8 +148,8 @@ def test_seifert_matrix_validation():
         SeifertMatrix(((1, 0), (0, 1)))  # V - V^T = 0, not unimodular
     with pytest.raises(BadParameters):
         SeifertMatrix(((1, 2), (3,)))
-    with pytest.raises(TypeError):  # refused, not truncated to the trefoil
-        SeifertMatrix(((-1.5, 1), (0, -1)))
+    with pytest.raises(BadParameters, match="^Seifert matrix entry must be an int, not float"):
+        SeifertMatrix(((-1.5, 1), (0, -1)))  # refused, not truncated to the trefoil
     assert SeifertMatrix(()).size == 0
 
 

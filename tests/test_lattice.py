@@ -66,14 +66,14 @@ def test_gram_validation():
         GramForm(1, ((Fraction(1, 3),),), scale=2)
     G = GramForm(1, ((Fraction(-1, 3),),), scale=3)
     assert G.rows == ((-1,),)
-    with pytest.raises(TypeError):
+    with pytest.raises(BadParameters, match="^scale must be an int"):
         GramForm(1, ((-1,),), scale=1.5)
     with pytest.raises(TypeError):  # every form is validated: there is no switch
         GramForm(1, ((-1,),), check=False)
     assert GramForm(2, [[-2, 1], [1, -2]]) == GramForm(2, ((-2, 1), (1, -2)))
-    with pytest.raises(TypeError):
+    with pytest.raises(BadParameters, match="^e entry must be an int"):
         CeProblem(_diag(-1), (1.7,))
-    with pytest.raises(TypeError):
+    with pytest.raises(BadParameters, match="^row entry must be an int"):
         Restriction(5, ("1",))
 
 
@@ -426,7 +426,7 @@ def test_split_examples():
     assert detect_orthogonal_split(_diag(-2, -2), (0, 0))
     with pytest.raises(NotDefinite):
         detect_orthogonal_split(_diag(-1, 1), (1, 0))
-    with pytest.raises(TypeError):
+    with pytest.raises(BadParameters, match="^e entry must be an int"):
         detect_orthogonal_split(_diag(-1, -9), (3, 1.5))
 
 

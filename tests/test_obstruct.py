@@ -16,6 +16,7 @@ from gaugecert import (
     LensSpace,
     ObstructionReport,
     SeifertData,
+    SeifertMatrix,
     Strand,
     check_fintushel_stern,
     check_sfqhs_family,
@@ -173,6 +174,7 @@ def test_fs_window_lines_match_definition():
         for a, b in zip(moduli, bs):
             knot = rng.choice(("unknot", "unknot", "trefoil", "figure8"))
             denoms = frozenset(rng.sample((8, 12, 24, 120, 10**6), rng.randint(1, 2))) if rng.random() < 0.6 else ()
+            denoms = denoms if knot != "unknot" else ()  # drawn for every strand, so the stream is unchanged
             strands.append(Strand(a, b, knot, cs_denominators=denoms, provenance="fixture" if denoms else ""))
         r = check_surgery_config(strands)
         names = [h.name for h in r.hypotheses]
@@ -335,7 +337,7 @@ def test_family_window_lines_match_definition():
     ((3, 5, 7, (6, True)), "n_list"),
 ])
 def test_family_refuses_booleans(args, name):
-    # gcd and operator.index read True as 1; run_problem and the CLI refuse them too
+    # gcd reads True as 1; run_problem and the CLI refuse them too
     with pytest.raises(BadParameters, match=f"^{name} "):
         check_sfqhs_family(*args)
 
@@ -420,9 +422,22 @@ def test_strand_names_its_knot_once():
 @pytest.mark.parametrize("denoms", [{0}, {-5}, {24, 0}, {True}])
 def test_strand_refuses_bad_denominators(denoms):
     # refused when the strand is built, not when a report reaches its window;
-    # operator.index would read True as 1
-    with pytest.raises(BadParameters, match="strand 3/-1: Chern-Simons denominators must be positive integers"):
+    # True is not read as 1
+    message = "denominator must be an int, not bool" if bool in map(type, denoms) else "denominators must be positive"
+    with pytest.raises(BadParameters, match=f"^strand 3/-1: Chern-Simons {message}"):
         Strand(3, -1, knot="figure8", cs_denominators=frozenset(denoms), provenance="fixture")
+
+
+@pytest.mark.parametrize("strand", [
+    dict(a=3, b=-1, knot="figure8"),  # no provenance
+    dict(a=3, b=-1, knot="figure8", provenance=""),
+    dict(a=11, b=-2, provenance="fixture"),  # a lens strand's bound 4/a reads no denominator
+    dict(a=11, b=-2, knot="mine", seifert_matrix=SeifertMatrix(()), provenance="fixture"),
+])
+def test_strand_denominators_need_a_knot_and_a_provenance(strand):
+    with pytest.raises(BadParameters, match="Chern-Simons denominators need a knotted strand and a provenance"):
+        Strand(cs_denominators=frozenset({7}), **strand)
+    assert Strand(**strand).cs_denominators == frozenset()
 
 
 def test_custom_seifert_matrix_strand():

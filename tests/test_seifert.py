@@ -29,8 +29,8 @@ def test_validation():
         SeifertData(((4, 2),))
     with pytest.raises(BadParameters):
         SeifertData(((0, 1),))
-    with pytest.raises(TypeError):  # refused, not truncated to (5, -4)
-        SeifertData(((2, 1), (3, 1), (5, -4.9)))
+    with pytest.raises(BadParameters, match="^b_i must be an int, not float"):
+        SeifertData(((2, 1), (3, 1), (5, -4.9)))  # refused, not truncated to (5, -4)
 
 
 def test_reversal():
