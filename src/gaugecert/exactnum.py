@@ -369,11 +369,10 @@ def cot_cot_sin2_sum(a: int, b: int, l: int) -> Fraction:
     sum for E(m), the term-by-term evaluation in Q(zeta_a), and an mpmath
     float sum.
     """
-    a, b, l = exact_int(a, "a"), exact_int(b, "b"), exact_int(l, "l")
-    if a < 1:
+    if exact_int(a, "a") < 1:
         raise BadParameters("a must be positive")
-    b %= a
-    l %= a
+    b = exact_int(b, "b") % a
+    l = exact_int(l, "l") % a
     if a == 1 or l == 0:
         return Fraction(0)
     if gcd(b, a) != 1:
