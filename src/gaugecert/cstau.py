@@ -19,11 +19,10 @@ below, and every bound is labeled as such:
 A surgery on a genuinely knotted strand is neither: its denominators come
 from the strand (user-supplied, with a provenance string, or from
 :data:`gaugecert.obstruct.CS_DENOMINATOR_CATALOG`), and its bound is
-1/lcm of them and a.  A bound is an int that is not a bool, or a Fraction
-kept as given; anything else, a float or a bool, raises
-:class:`BadParameters`.  tau-hat and the compactness margin are not
-objects of their own: each checker takes the least of the bounds its
-report prints.
+1/lcm of them and a.  The 1/k and 4/a rules are written once, as integer
+pairs (:func:`denominator_bound`, :func:`lens_bound`) that check-fs reads
+with no object; the tau-bound verb wraps them in a :class:`TauBound`, which
+takes an int that is not a bool or a Fraction and refuses anything else.
 """
 
 from __future__ import annotations
@@ -56,18 +55,28 @@ class TauBound:
             raise BadParameters(f"tau bound {self.value} outside (0, 4]")
 
 
-def tau_lower_from_denominator(k: int) -> TauBound:
-    """tau >= 1/k when all relevant Chern-Simons values have denominator
+def denominator_bound(k: int) -> tuple[int, int]:
+    """tau >= 1/k, as (1, k), when all relevant Chern-Simons values have denominator
     dividing k (differences of such values have fractional part 0 or >= 1/k,
     and the relative value of a non-flat-cobordant pair is nonzero mod 1)."""
+    return 1, k
+
+
+def lens_bound(a: int) -> tuple[int, int]:
+    """tau(L(a, b)) >= 4/a, as (4, a): Chern-Simons values mod 4 lie in (4/a) Z."""
+    return 4, a
+
+
+def tau_lower_from_denominator(k: int) -> TauBound:
+    """The bound 1/k of :func:`denominator_bound`, for an int k >= 1."""
     if exact_int(k, "denominator") < 1:
         raise BadParameters("denominator must be a positive integer")
-    return TauBound(Fraction(1, k))
+    return TauBound(Fraction(*denominator_bound(k)))
 
 
 def tau_lower_lens(L: LensSpace) -> TauBound:
-    """tau(L(a, b)) >= 4/a: Chern-Simons values mod 4 lie in (4/a) Z."""
-    return TauBound(Fraction(4, L.a))
+    """The bound 4/a of :func:`lens_bound` for L = L(a, b)."""
+    return TauBound(Fraction(*lens_bound(L.a)))
 
 
 def tau_lower_seifert(S: SeifertData) -> TauBound:

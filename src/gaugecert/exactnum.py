@@ -1,7 +1,7 @@
 """Exact arithmetic foundation.
 
-All rational quantities in the package are :class:`fractions.Fraction`
-(arbitrary precision, always in lowest terms with positive denominator).
+Rationals are :class:`fractions.Fraction` (lowest terms, positive
+denominator) or integer num/den pairs, printed by :func:`ratio_str`.
 Every integer input is read in by :func:`exact_int` and every rational one by
 :func:`exact_rational`; a float or bool raises :class:`BadParameters` naming
 the argument.  This module gives:
@@ -79,6 +79,12 @@ def exact_rational(value, name: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise BadParameters(f"{name} must be an int or a Fraction, not {type(value).__name__}")
+
+
+def ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for ints n and d >= 1, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def euler_phi(a: int) -> int:
@@ -198,7 +204,7 @@ class CycloElement:
     @staticmethod
     def from_rational(order: int, value) -> "CycloElement":
         c = [0] * (len(cyclotomic_poly(order)) - 1)
-        c[0] = value if isinstance(value, int) else Fraction(value)
+        c[0] = value if type(value) is int else exact_rational(value, "rational value")
         return CycloElement(order, tuple(c))
 
     @staticmethod
@@ -224,8 +230,7 @@ class CycloElement:
         return CycloElement(self.order, tuple(-x for x in self.coeffs))
 
     def scale(self, r) -> "CycloElement":
-        if not isinstance(r, int):
-            r = Fraction(r)
+        r = r if type(r) is int else exact_rational(r, "scale factor")
         return CycloElement(self.order, tuple(r * x for x in self.coeffs))
 
     def __mul__(self, other: "CycloElement") -> "CycloElement":

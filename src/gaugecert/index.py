@@ -26,14 +26,14 @@ both; a disagreement raises :class:`ClosedFormMismatch` and means an
 arithmetic bug, so the reduction is a permanent self-test rather than a
 one-time proof.  For d = 1 this integer is the classical definite-bounding
 obstruction R(a_1, ..., a_n).  Each strand's trigonometric term is the
-lens rho invariant rho(L(a_i, b_i), b_i)/2 (:func:`gaugecert.lens.rho_lens`),
-one cotangent sum per strand, which a process computes and checks once
-while it stays in the memo behind :func:`gaugecert.exactnum.cot_cot_sin2_sum`.
-Each such rho lies in (2/a_i^2) Z, so the forms are compared as an integer
+lens rho invariant rho(L(a_i, b_i), b_i)/2, read once per strand as an
+integer num/den of the pair S has checked (no LensSpace or Fraction), from
+the one cotangent sum that a process computes and checks once while it
+stays in the memo behind :func:`gaugecert.exactnum.cot_cot_sin2_sum`.  Each
+such rho lies in (2/a_i^2) Z, so the forms are compared as an integer
 identity, times 2A^2 (A = a_1...a_n), which a rho outside (1/A^2) Z fails.
-:func:`gaugecert.obstruct.check_surgery_config` reads its Ind+ as
-:func:`r_invariant` plus the strands' signatures, so the two forms are
-compared here, on every call, and nowhere else.
+check-fs reads its Ind+ as one :func:`r_invariant` call plus the strands'
+signatures, so the two forms are compared here, on every call, and nowhere else.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ClosedFormMismatch, Degenerate, NotHomologySphere
-from .lens import LensSpace, rho_lens
+from .lens import rho_lens_parts
 from .seifert import SeifertData, d_invariant
 
 __all__ = [
@@ -78,10 +78,10 @@ def _ind_plus_both_forms(S: SeifertData, d: int) -> int:
     # twice the trigonometric form, so that each strand adds its lens rho as
     # is, times A^2: an integer when every rho's denominator divides A^2
     A, A2 = S.a_product, S.a_product ** 2
-    rhos = [rho_lens(LensSpace(a, b), b) for a, b in S.pairs]
-    twice_trig = 4 * d * A + 2 * (S.n - 3) * A2 + sum(rho.numerator * (A2 // rho.denominator) for rho in rhos)
-    if any(A2 % rho.denominator for rho in rhos) or twice_trig != 2 * closed * A2:
-        trig = (Fraction(4 * d, A) + 2 * (S.n - 3) + sum(rhos)) / 2
+    rhos = [rho_lens_parts(a, b, b) for a, b in S.pairs]
+    twice_trig = 4 * d * A + 2 * (S.n - 3) * A2 + sum(num * A2 // den for num, den in rhos)
+    if any(num * A2 % den for num, den in rhos) or twice_trig != 2 * closed * A2:
+        trig = (Fraction(4 * d, A) + 2 * (S.n - 3) + sum(Fraction(num, den) for num, den in rhos)) / 2
         raise ClosedFormMismatch(f"index transfer mismatch for {S}: trig {trig} vs closed {closed}")
     return closed
 

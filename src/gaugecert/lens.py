@@ -35,7 +35,7 @@ from math import gcd
 from .errors import BadParameters, InternalCheckError
 from .exactnum import cot_cot_sin2_sum, exact_int, inverse_mod
 
-__all__ = ["LensSpace", "nz_closed_form", "rho_lens"]
+__all__ = ["LensSpace", "nz_closed_form", "rho_lens", "rho_lens_parts"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,13 @@ class LensSpace:
 def rho_lens(L: LensSpace, l: int) -> Fraction:
     """Exact rho invariant of the flat SO(2) connection with holonomy
     mu -> exp(2 pi i l / a) on L(a, b); l is an int, reduced mod a."""
-    s = cot_cot_sin2_sum(L.a, L.b, l)
-    return Fraction(4 * s.numerator, L.a * s.denominator)
+    return Fraction(*rho_lens_parts(L.a, L.b, l))
+
+
+def rho_lens_parts(a: int, b: int, l: int) -> tuple[int, int]:
+    """rho(L(a, b), l) as (num, den), den > 0, not reduced, for a checked pair (a, b)."""
+    s = cot_cot_sin2_sum(a, b, l)
+    return 4 * s.numerator, a * s.denominator
 
 
 def nz_closed_form(a: int, c: int) -> Fraction:

@@ -20,35 +20,35 @@ as proven; a report's conclusion says exactly which numeric hypotheses
 were verified, and every user-supplied datum carries a provenance note.
 
 Orientation bookkeeping.  Strand data is normalized so that d > 0 (the
-orientation making the trace 4-manifold negative definite); with that
-orientation the boundary piece over a strand (a, b) is the reverse of the
--a/b surgery on its knot, so its rho invariant is minus the value
-transferred from the lens space L(a, b mod a):
+orientation making the trace 4-manifold negative definite); an input with
+d < 0 is noted in the report and each strand is read at b = -b_i, a sign
+carried through the strand loop, not rebuilt.  With that orientation the
+boundary piece over a strand (a, b) is the reverse of the -a/b surgery on
+its knot, so its rho invariant is minus the value transferred from the
+lens space L(a, b mod a):
 
     rho_i = -( rho(L(a, b), l = -b mod a) + sigma(a, b) + sigma(a, a-b) ),
 
 where the sigmas are Levine-Tristram signatures of the strand knot (zero
 for unknots); the two are equal, so sigma(a, b) is computed and doubled.
 For unknotted strands this equals rho(L(a, -b mod a)) at the meridian
-holonomy, which reproduces the Seifert index formula.  In Ind+ each
-rho_i enters with weight -1/2, so Ind+ = R + sum of signatures, and the
-checker reads it that way: :func:`gaugecert.index.r_invariant` compares
-R's trigonometric form (one cotangent sum per strand, in the lens rho)
-with its closed form 2n - 3 - 2 sum K_i on every run, and a wrong sum
-raises an "index transfer mismatch" :class:`ClosedFormMismatch` (exit
-status 3).  Each knotted strand's signature is computed once: its
-Hermitian form is singular exactly where the Alexander polynomial
-vanishes, so whether the signature raised :class:`SingularPivot` is the
-strand's nondegeneracy line, and Ind+ reads the same signature.
+holonomy, which reproduces the Seifert index formula.  In Ind+ each rho_i
+enters with weight -1/2, so Ind+ = R + sum of signatures: one call of
+:func:`gaugecert.index.r_invariant` compares R's trigonometric form (each
+strand's cotangent sum read once) with its closed form 2n - 3 - 2 sum K_i,
+and a wrong sum raises an "index transfer mismatch" (exit status 3).  Each
+knotted strand's signature is computed once: its Hermitian form is
+singular exactly where the Alexander polynomial vanishes, so whether it
+raised :class:`SingularPivot` is the strand's nondegeneracy line.
 
-Window and reducible count.  Each strand's tau line prints a lower bound
-(4/a for a lens strand, 1/lcm of a and its Chern-Simons denominators for a
-knotted one), tau-hat is the least of those printed values, and the
-margin is one subtraction.  The rank-1 lines run only once "homology
-sphere" has passed with d > 0, so d = 1 there: H^2 of the capped manifold
-is Z with form (-1) and e = 1, which is primitive, so the lattice splits
-and C(e) is the single class {1, -1}.  These are decided in integers;
-check-fs builds no lattice object.
+Window and reducible count, in integers.  p_1 = d/a, each strand's tau
+bound (cstau's 4/a for a lens strand, 1/lcm of a and its Chern-Simons
+denominators for a knotted one) and the margin are num/den pairs, tau-hat
+is the least bound by cross-multiplication, and each prints as its
+Fraction would.  The rank-1 lines run only once "homology sphere" has
+passed with d > 0, so d = 1: H^2 of the capped manifold is Z with form
+(-1) and e = 1, which is primitive, so the lattice splits and C(e) is the
+single class {1, -1}.  check-fs builds one report and no lattice object.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 from . import lattice  # the C(e) reader's classes; the checkers build no lattice object
-from .cstau import tau_lower_from_denominator, tau_lower_lens
+from .cstau import denominator_bound, lens_bound
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
-from .exactnum import exact_int
+from .exactnum import exact_int, ratio_str
 from .index import ind_plus_seifert_qhs, r_invariant
 from .knots import KNOT_CATALOG, SeifertMatrix, lt_signature
 from .lattice import sfqhs_reducible_count
@@ -115,9 +116,7 @@ class ObstructionReport:
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         object.__setattr__(self, "provenance", tuple(self.provenance))
         if self.conclusion != INCONCLUSIVE and not self.all_pass:
-            raise InternalCheckError(
-                "report invariant violated: definite conclusion with failing hypothesis"
-            )
+            raise InternalCheckError("report invariant violated: definite conclusion with failing hypothesis")
 
     @property
     def all_pass(self) -> bool:
@@ -206,9 +205,6 @@ class Strand:
     def knotted(self) -> bool:
         return self.seifert_matrix.size > 0
 
-    def reversed(self) -> "Strand":
-        return Strand(self.a, -self.b, self.knot, self.seifert_matrix, self.cs_denominators, self.provenance)
-
 
 def rho_transfer_surgery(L: LensSpace, V: SeifertMatrix) -> Fraction:
     """rho of the -a/b surgery on the knot with Seifert matrix V, carried
@@ -237,39 +233,29 @@ def _signature(V: SeifertMatrix, a: int, b: int) -> int:
         ) from exc
 
 
-def _strand_tau_bound(strand: Strand, lines: _Lines, provenance: list[str]) -> Fraction | None:
-    # the strand's tau line; its printed value, or None when it is unknown
+def _strand_tau_bound(strand: Strand, b: int, lines: _Lines, provenance: list[str]) -> tuple[int, int] | None:
+    # the tau line of the strand, oriented to b; its printed bound as (num, den), or None when unknown
+    a = strand.a
     if not strand.knotted:
-        L = LensSpace(strand.a, meridian_holonomy(strand.a, strand.b))
-        bound = tau_lower_lens(L).value
-        lines.add(
-            f"tau({L})",
-            f"tau >= 4/{strand.a} (lens Chern-Simons values mod 4 lie in (4/{strand.a})Z)",
-            bound,
-            True,
-        )
+        bound = lens_bound(a)
+        formula = f"tau >= 4/{a} (lens Chern-Simons values mod 4 lie in (4/{a})Z)"
+        lines.add(f"tau(L({a},{-b % a}))", formula, ratio_str(*bound), True)
         return bound
-    denoms, prov = set(strand.cs_denominators), strand.provenance
+    denoms, prov = strand.cs_denominators, strand.provenance
     if not denoms:
-        key = (strand.knot, strand.a, strand.b % strand.a)
-        denoms, prov = CS_DENOMINATOR_CATALOG.get(key, (denoms, prov))
-        denoms = set(denoms)
+        denoms, prov = CS_DENOMINATOR_CATALOG.get((strand.knot, a, b % a), (denoms, prov))
     if not denoms:
-        lines.add(
-            f"tau(strand {strand.a}/{strand.b})",
-            "Chern-Simons denominators of irreducible flat connections required",
-            "unknown",
-            False,
-        )
+        formula = "Chern-Simons denominators of irreducible flat connections required"
+        lines.add(f"tau(strand {a}/{b})", formula, "unknown", False)
         return None
-    denoms.add(strand.a)  # reducibles transfer to the lens space, denominator a
-    provenance.append(f"strand {strand.a}/{strand.b} ({strand.knot}): {prov}")
+    denoms = denoms | {a}  # reducibles transfer to the lens space, denominator a
+    provenance.append(f"strand {a}/{b} ({strand.knot}): {prov}")
     # differences of values with denominators k1, k2 have denominator dividing lcm(k1, k2)
-    bound = tau_lower_from_denominator(lcm(*denoms)).value
+    bound = denominator_bound(lcm(*denoms))
     lines.add(
-        f"tau(surgery {strand.a}/{strand.b} on {strand.knot})",
+        f"tau(surgery {a}/{b} on {strand.knot})",
         f"tau >= 1/lcm{tuple(sorted(denoms))} (fractional-part bound on relative Chern-Simons values)",
-        bound,
+        ratio_str(*bound),
         True,
     )
     return bound
@@ -291,48 +277,52 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     than 1 then yields the conclusion.
     """
     strands = tuple(strands)
-    problem = {
-        "kind": "surgery-config",
-        "strands": [_strand_json(s) for s in strands],
-    }
+    problem = {"kind": "surgery-config", "strands": [_strand_json(s) for s in strands]}
+    return _check_strands(problem, SeifertData(tuple((s.a, s.b) for s in strands)), strands)
+
+
+def check_fintushel_stern(S: SeifertData) -> ObstructionReport:
+    """Definite-bounding obstruction for a Seifert fibered integer homology
+    sphere: all strands unknotted, hypotheses as in
+    :func:`check_surgery_config`, conclusion driven by R = Ind+ > 0."""
+    problem = {"kind": "seifert", "pairs": [[a, b] for a, b in S.pairs]}
+    return _check_strands(problem, S, tuple(Strand(a, b) for a, b in S.pairs))
+
+
+def _check_strands(problem: dict, S: SeifertData, strands: tuple[Strand, ...]) -> ObstructionReport:
+    # the report of both checkers; S holds the strands' pairs as given
     lines = _Lines()
     provenance: list[str] = []
 
-    S = SeifertData(tuple((s.a, s.b) for s in strands))
-    d = d_invariant(S)
+    d, sign = d_invariant(S), 1
     if d < 0:
-        strands = tuple(s.reversed() for s in strands)
         provenance.append(f"orientation reversed (input had d = {d}); all b_i flipped")
-        S, d = S.reversed(), -d
+        S, d, sign = S.reversed(), -d, -1
     a = S.a_product
 
     ok = lines.add("homology sphere", "d = (a_1...a_n) sum b_i/a_i; need |d| = 1", d, abs(d) == 1)
     multiplicities = all(ai >= 2 for ai, _ in S.pairs)
-    ok &= lines.add(
-        "strand multiplicities",
-        "every a_i >= 2 (multiplicity-1 strands must be normalized away)",
-        multiplicities,
-        multiplicities,
-    )
+    formula = "every a_i >= 2 (multiplicity-1 strands must be normalized away)"
+    ok &= lines.add("strand multiplicities", formula, multiplicities, multiplicities)
     h1_ok = check_h1_z2(S)
     lines.add("H^1(X; Z/2) = 0", "at most one a_i is even", h1_ok, h1_ok)
     if not ok:
         return ObstructionReport(problem, lines.lines, INCONCLUSIVE, tuple(provenance))
 
-    # nondegeneracy and signature, strand by strand: a knotted strand is
-    # degenerate exactly when its signature raises
+    # nondegeneracy and signature, strand by strand, at the oriented b =
+    # sign * s.b: a knotted strand is degenerate exactly when its signature raises
     sigmas, degenerate = [], None
     for s in strands:
-        ok_s = True
+        b, ok_s = sign * s.b, True
         try:
-            sigmas.append(_signature(s.seifert_matrix, s.a, s.b % s.a))
+            sigmas.append(_signature(s.seifert_matrix, s.a, b % s.a))
         except Degenerate as exc:
             degenerate, ok_s = degenerate or exc, False
         if s.knotted:
-            name = f"nondegenerate({s.knot} at {s.a}/{s.b})"
-            formula = f"Alexander polynomial nonzero at exp(2 pi i {s.b % s.a}/{s.a})"
+            name = f"nondegenerate({s.knot} at {s.a}/{b})"
+            formula = f"Alexander polynomial nonzero at exp(2 pi i {b % s.a}/{s.a})"
         else:
-            name, formula = f"nondegenerate(lens strand {s.a}/{s.b})", "lens space flat connections are nondegenerate"
+            name, formula = f"nondegenerate(lens strand {s.a}/{b})", "lens space flat connections are nondegenerate"
         lines.add(name, formula, ok_s, ok_s)
     if degenerate is not None:
         lines.add("rho transfer", "rho via flat cobordism to the lens space", str(degenerate), False)
@@ -342,22 +332,22 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
     # rho_i = -(rho_lens + 2 sigma_i) enters Ind+ with weight -1/2, and R
     # compares its trigonometric form with its closed form
     ind = r_invariant(S) + sum(sigmas)
-    p1 = Fraction(d, a)
     lines.add("Ind+", "2 p_1 - 3 + (1/2) sum (3 - h_i - rho_i) = R + sum of signatures", ind, True)
     lines.add("Ind+ >= 0", "index hypothesis of the parity theorem", ind >= 0, ind >= 0)
     lines.add("Ind+ > 0", "positivity threshold of the definite-bounding obstruction", ind > 0, ind > 0)
 
-    # compactness window: tau-hat is the least of the printed strand bounds
-    lines.add("p_1", "p_1 = -e.e = d/(a_1...a_n)", p1, 0 < p1)
-    bounds = [_strand_tau_bound(s, lines, provenance) for s in strands]
+    # compactness window in integers, p_1 = d/a with a > 0: tau-hat = tn/td
+    # is the least of the printed strand bounds, found by cross-multiplying
+    lines.add("p_1", "p_1 = -e.e = d/(a_1...a_n)", ratio_str(d, a), 0 < d)
+    bounds = [_strand_tau_bound(s, sign * s.b, lines, provenance) for s in strands]
     if None not in bounds:
-        th = min(bounds)
-        margin = th - p1
+        tn, td = min(bounds, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+        margin = tn * a - d * td  # (tau_hat - p_1) td a
         lines.add(
             "0 < p_1 < tau_hat <= 4",
-            f"compactness margin tau_hat - p_1 with tau_hat >= {th}",
-            margin,
-            margin > 0 and th <= 4,
+            f"compactness margin tau_hat - p_1 with tau_hat >= {ratio_str(tn, td)}",
+            ratio_str(margin, td * a),
+            margin > 0 and tn <= 4 * td,
         )
 
     # reducible count over the capped manifold.  "homology sphere" passed
@@ -385,15 +375,6 @@ def check_surgery_config(strands: tuple[Strand, ...] | list[Strand]) -> Obstruct
 
     conclusion = OBSTRUCTED if lines.all_pass else INCONCLUSIVE
     return ObstructionReport(problem, lines.lines, conclusion, tuple(provenance))
-
-
-def check_fintushel_stern(S: SeifertData) -> ObstructionReport:
-    """Definite-bounding obstruction for a Seifert fibered integer homology
-    sphere: all strands unknotted, hypotheses as in
-    :func:`check_surgery_config`, conclusion driven by R = Ind+ > 0."""
-    report = check_surgery_config(tuple(Strand(a, b) for a, b in S.pairs))
-    problem = {"kind": "seifert", "pairs": [[a, b] for a, b in S.pairs]}
-    return ObstructionReport(problem, report.hypotheses, report.conclusion, report.provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ its check.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -126,5 +127,23 @@ CASES = {
 def test_integer_arguments_refuse_bools_and_floats(case, bad):
     call, valid, name = CASES[case]
     call(valid)
+    with pytest.raises(BadParameters, match=f"^{re.escape(name)} must be"):
+        call(bad)
+
+
+# rational arguments take an int (kept as an int, so Z[zeta_a] stays integral)
+# or a Fraction; True is not 1, and 0.1 is not the rational written
+RATIONAL_CASES = {
+    "CycloElement.from_rational": (lambda x: CycloElement.from_rational(5, x), "rational value"),
+    "CycloElement.scale": (lambda x: CycloElement.zeta(5).scale(x), "scale factor"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 0.1, 1.5], ids=["True", "0.1", "1.5"])
+@pytest.mark.parametrize("case", sorted(RATIONAL_CASES))
+def test_rational_arguments_refuse_bools_and_floats(case, bad):
+    call, name = RATIONAL_CASES[case]
+    assert all(type(c) is int for c in call(3).coeffs)
+    assert Fraction(1, 3) in call(Fraction(1, 3)).coeffs
     with pytest.raises(BadParameters, match=f"^{re.escape(name)} must be"):
         call(bad)

@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gaugecert import (
     BadParameters,
@@ -19,7 +21,7 @@ from gaugecert import (
     cyclotomic_poly,
     hj_expand,
 )
-from gaugecert.exactnum import _sawtooth_convolution, continuants, euler_phi, inverse_mod, poly_divmod
+from gaugecert.exactnum import _sawtooth_convolution, continuants, euler_phi, inverse_mod, poly_divmod, ratio_str
 from gaugecert.lattice import _crt3
 
 from oracles import (
@@ -488,3 +490,18 @@ def test_oracle_precision_env(monkeypatch):
     # values below 128 bits are clamped up to the documented minimum
     monkeypatch.setenv(ORACLE_PREC_ENV, "16")
     assert _oracle_close(float_oracle_sum(3, 1, 1), Fraction(2, 3), 2.0**-100)
+
+
+# ---------------------------------------------------------------------------
+# printing rationals from integers
+# ---------------------------------------------------------------------------
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+@example(0, 1)
+@example(0, 7)
+@example(-6, 4)
+@example(12, 4)
+@example(-10**30, 10**30)
+def test_ratio_str_prints_as_fraction(n, d):
+    # check-fs prints p_1, its tau bounds and its margin from integer pairs
+    assert ratio_str(n, d) == str(Fraction(n, d))

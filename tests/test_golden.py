@@ -16,8 +16,9 @@ surgery configuration with a failing compactness margin before check-fs
 decided its window and rank-1 lines without lattice or tau-hat objects.  Each
 output must stay byte identical; the call counts pin
 that each knotted strand's signature, which also decides its
-nondegeneracy, and each strand's cotangent sum are computed once, and
-that the knotted reports build no element of Z[zeta_a]."""
+nondegeneracy, and each strand's cotangent sum are computed once, that
+the knotted reports build no element of Z[zeta_a], and that a check-fs
+report is built once, from one Strand per strand and no TauBound."""
 
 import json
 from pathlib import Path
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import gaugecert.cli as cli
+import gaugecert.cstau as cstau
 import gaugecert.lattice as lattice
 import gaugecert.lens as lens
 import gaugecert.obstruct as obstruct
@@ -218,3 +220,28 @@ def test_check_fs_goldens_build_no_lattice(capsys, monkeypatch):
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert built == []
+
+
+# check-fs reads every strand once: one report per check (check_fintushel_stern
+# builds no second one), one Strand per strand (a reversed orientation is a sign,
+# not a rebuilt strand), and its tau bounds are integer pairs, not TauBounds
+def test_check_fs_goldens_read_each_strand_once(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    built = []
+    for cls in (obstruct.ObstructionReport, obstruct.Strand, cstau.TauBound):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=init: built.append(type(self)) or init(self))
+    reoriented = 0
+    for argv in (p.values[0] for p in REPORTS if "check-fs" in p.values[0]):
+        if "--problem" in argv:
+            problem = json.loads(Path(argv[-1]).read_text(encoding="utf-8"))
+            n = len(problem.get("pairs", problem.get("strands")))
+        else:
+            n = sum("," in arg for arg in argv)
+        built.clear()
+        assert cli.main(argv) == 0
+        reoriented += "orientation reversed" in capsys.readouterr().out
+        assert built.count(obstruct.ObstructionReport) == 1, argv
+        assert built.count(obstruct.Strand) == n, argv
+        assert cstau.TauBound not in built, argv
+    assert reoriented == 8
