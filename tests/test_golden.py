@@ -91,6 +91,17 @@ REPORTS = [
                  id="tau-bound-seifert-3-5-83"),
     pytest.param(["tau-bound", "--denominator", "24"], "tau_bound_denominator_24.report.json",
                  id="tau-bound-denominator-24"),
+    # d = 53 > a = 15: the Seifert bound is 1/d
+    pytest.param(["tau-bound", "--seifert", "3,10", "5,1"], "tau_bound_seifert_3_10_5_1.report.json",
+                 id="tau-bound-seifert-3-10-5-1"),
+    pytest.param(["--format", "text", "tau-bound", "--seifert", "3,10", "5,1"],
+                 "tau_bound_seifert_3_10_5_1.report.txt", id="tau-bound-seifert-3-10-5-1-text"),
+    # d = 1: the Seifert bound is 1/a
+    pytest.param(["tau-bound", "--seifert", "2,1", "3,1", "5,-4"], "tau_bound_seifert_2_3_5.report.json",
+                 id="tau-bound-seifert-2-3-5"),
+    pytest.param(["tau-bound", "--denominator", "1"], "tau_bound_denominator_1.report.json",
+                 id="tau-bound-denominator-1"),
+    pytest.param(["tau-bound", "--lens", "2", "1"], "tau_bound_lens_2_1.report.json", id="tau-bound-lens-2-1"),
     pytest.param(["rho-transfer", "3", "1", "--knot", "figure8"], "rho_transfer_3_1_figure8.report.json",
                  id="rho-transfer-3-1-figure8"),
     # its restriction with modulus 5 filters out the class (3, -1)
