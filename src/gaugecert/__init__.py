@@ -10,12 +10,7 @@ certificates for definite-bounding obstructions and for linear
 independence of surgery families in the Z/2 homology cobordism group.
 """
 
-from .cstau import (
-    TauBound,
-    tau_lower_from_denominator,
-    tau_lower_lens,
-    tau_lower_seifert,
-)
+from .cstau import denominator_bound, lens_bound, seifert_bound
 from .errors import (
     BadParameters,
     ClosedFormMismatch,
@@ -23,7 +18,6 @@ from .errors import (
     GaugeCertError,
     HypothesisFailed,
     InternalCheckError,
-    NonRational,
     NoSolution,
     NotDefinite,
     NotHomologySphere,

@@ -29,7 +29,7 @@ from math import gcd
 
 from . import __version__
 from .errors import GaugeCertError, InternalCheckError
-from .exactnum import cot_cot_sin2_sum, hj_expand
+from .exactnum import cot_cot_sin2_sum, hj_expand, ratio_str
 from .index import ind_plus_seifert_qhs, r_invariant
 from .knots import KNOT_CATALOG
 from .lattice import (
@@ -42,7 +42,7 @@ from .lattice import (
     plumbing_gram,
 )
 from .lens import LensSpace, nz_closed_form, rho_lens
-from .cstau import tau_lower_from_denominator, tau_lower_lens, tau_lower_seifert
+from .cstau import denominator_bound, lens_bound, seifert_bound
 from .obstruct import (
     _field,
     _seifert_matrix,
@@ -118,18 +118,17 @@ def _cmd_ind_plus(args) -> tuple[dict, str]:
 
 def _cmd_tau_bound(args) -> tuple[dict, str]:
     if args.lens:
-        bound = tau_lower_lens(LensSpace(*args.lens))
-        source = f"lens L({args.lens[0]},{args.lens[1]})"
+        (num, den), source = lens_bound(LensSpace(*args.lens).a), f"lens L({args.lens[0]},{args.lens[1]})"
     elif args.seifert:
-        bound = tau_lower_seifert(SeifertData(tuple(args.seifert)))
-        source = "seifert"
+        S = SeifertData(tuple(args.seifert))
+        (num, den), source = seifert_bound(S.a_product, d_invariant(S)), "seifert"
     else:
-        bound = tau_lower_from_denominator(args.denominator)
-        source = f"denominator {args.denominator}"
-    return (
-        {"bound": str(bound.value), "kind": "lower-bound", "source": source},
-        f"tau >= {bound.value} ({source})\n",
-    )
+        (num, den), source = denominator_bound(args.denominator), f"denominator {args.denominator}"
+    # each rule refuses the integers that would put its bound outside (0, 4]
+    if not 0 < num <= 4 * den:
+        raise InternalCheckError(f"tau bound {num}/{den} outside (0, 4]")
+    bound = ratio_str(num, den)
+    return {"bound": bound, "kind": "lower-bound", "source": source}, f"tau >= {bound} ({source})\n"
 
 
 def _cmd_plumbing(args) -> tuple[dict, str]:

@@ -4,7 +4,7 @@ Two kinds of failure are kept strictly apart:
 
 * input problems (bad parameters, failed hypotheses) -- ordinary
   ``ValueError`` subclasses a caller may handle or report;
-* internal consistency failures (``NonRational``, ``ClosedFormMismatch``)
+* internal consistency failures (``InternalCheckError``, ``ClosedFormMismatch``)
   -- these mean a bug in the arithmetic itself, never a property of the
   input, and the command line maps them to a distinct exit status.
 """
@@ -16,10 +16,6 @@ class GaugeCertError(Exception):
 
 class InternalCheckError(GaugeCertError):
     """An internal cross-check failed; indicates a bug, not bad input."""
-
-
-class NonRational(InternalCheckError):
-    """A cyclotomic value expected to be rational had nonzero higher coefficients."""
 
 
 class ClosedFormMismatch(InternalCheckError):

@@ -5,8 +5,8 @@ of rational homology spheres takes values in (1/d) Z; it is modeled by
 :class:`GramForm`, a symmetric rational matrix that becomes integral after
 multiplying by the scale d.  Torsion classes are not modeled on the
 lattice; where the argument needs them (the parity step of
-:func:`sfqhs_reducible_count`) they enter as the ``torsion_odd`` flag,
-with provenance recorded by the caller.
+:func:`sfqhs_reducible_count`) the caller decides that the relative
+torsion is odd, and records its provenance, before it asks for the count.
 
 For a class e in a negative definite lattice the set that counts
 reducible instantons is
@@ -43,7 +43,7 @@ before their elimination.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -74,26 +74,26 @@ __all__ = [
 class GramForm:
     """Symmetric rational pairing with values in (1/scale) Z.
 
-    Integer and Fraction entries are kept as they are (a float or bool is refused), and
-    scale * gram must be a symmetric integer matrix: it is kept as ``rows``,
-    which all arithmetic on the form reads.  Whether ``rows`` is
+    The entries ``gram`` are ints or Fractions (a float or bool is refused), and
+    scale * gram must be a symmetric integer matrix: only that is kept, as
+    ``rows``, which all arithmetic on the form reads.  Whether ``rows`` is
     tridiagonal, and then its leading minors, are found once per form.
     """
 
     rank: int
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: InitVar[tuple[tuple[Fraction, ...], ...]]
     scale: int = 1
-    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple[int, ...], ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, gram) -> None:
         object.__setattr__(self, "rank", exact_int(self.rank, "rank"))
         scale = exact_int(self.scale, "scale")
         object.__setattr__(self, "scale", scale)
         if scale < 1:
             raise BadParameters("scale must be a positive integer")
-        if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
+        if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise BadParameters("gram matrix shape does not match rank")
-        gram = tuple(map(tuple, self.gram))
+        gram = tuple(map(tuple, gram))
         if scale == 1 and all(set(map(type, row)) <= {int} for row in gram):
             rows = gram
         else:
@@ -105,7 +105,6 @@ class GramForm:
         # scale >= 1, so the rational matrix is symmetric iff the integer one is
         if rows != tuple(zip(*rows)):
             raise BadParameters("gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "rows", rows)
 
     @functools.cached_property
@@ -404,7 +403,6 @@ class ReducibleCountVerdict:
     """
 
     solutions: tuple[tuple[int, int, int], ...]
-    torsion_odd: bool
 
     @property
     def unique_witness(self) -> bool:
@@ -412,10 +410,10 @@ class ReducibleCountVerdict:
 
     @property
     def count_parity(self) -> str:
-        return "odd" if (self.unique_witness and self.torsion_odd) else "unknown"
+        return "odd" if self.unique_witness else "unknown"
 
 
-def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int, torsion_odd: bool) -> ReducibleCountVerdict:
+def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int) -> ReducibleCountVerdict:
     """Exhaustively verify that the restriction class of a reducible bundle
     in the surgery-family argument is pinned to k = 1.
 
@@ -425,7 +423,7 @@ def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int, torsion_odd: bool
     d^2 = l3 a + (d k + a l2)^2 with l3 >= 0 has |d k + a l2| <= d), that
     is -((d + d k) // a) <= l2 <= (d - d k) // a in integer floor division,
     and reports every solution.  Requires a > d^2 and p, q, d pairwise coprime, odd
-    and positive, and the assertion that the relative torsion is odd.
+    and positive; the caller has decided that the relative torsion is odd.
     """
     p, q, d, n_last = map(exact_int, (p, q, d, n_last), ("p", "q", "d", "n_last"))
     if min(p, q, d) < 1 or p % 2 == 0 or q % 2 == 0 or d % 2 == 0:
@@ -438,8 +436,6 @@ def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int, torsion_odd: bool
     a = p * q * a3
     if a <= d * d:
         raise HypothesisFailed(f"need a = pq(pq n - d) = {a} > d^2 = {d * d}")
-    if not torsion_odd:
-        raise HypothesisFailed("oddness of the relative torsion group must be asserted")
     solutions = []
     for eps_q in (1, -1):
         for eps_3 in (1, -1):
@@ -449,7 +445,7 @@ def sfqhs_reducible_count(p: int, q: int, d: int, n_last: int, torsion_odd: bool
                 rem = d * d - m * m
                 if rem >= 0 and rem % a == 0:
                     solutions.append((k, l2, rem // a))
-    return ReducibleCountVerdict(solutions=tuple(sorted(set(solutions))), torsion_odd=torsion_odd)
+    return ReducibleCountVerdict(solutions=tuple(sorted(set(solutions))))
 
 
 def _crt3(*residues: tuple[int, int]) -> int:

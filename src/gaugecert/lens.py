@@ -23,7 +23,7 @@ where 0 < c* < a and c c* = -1 mod a.
 
 Chern-Simons invariants of flat connections on L(a, b), taken mod 4, all
 lie in (4/a) Z, giving the compactness bound tau(L(a,b)) >= 4/a
-(:func:`gaugecert.cstau.tau_lower_lens`).
+(:func:`gaugecert.cstau.lens_bound`).
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class LensSpace:
         if gcd(self.a, exact_int(self.b, "b")) != 1:
             raise BadParameters(f"gcd({self.a}, {self.b}) != 1")
         object.__setattr__(self, "b", self.b % self.a)
-
-    def reversed(self) -> "LensSpace":
-        """-L(a, b) = L(a, -b)."""
-        return LensSpace(self.a, self.a - self.b)
 
     def __str__(self) -> str:
         return f"L({self.a},{self.b})"

@@ -62,7 +62,7 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 from . import lattice  # the C(e) reader's classes; the checkers build no lattice object
-from .cstau import denominator_bound, lens_bound
+from .cstau import denominator_bound, lens_bound, seifert_bound
 from .errors import BadParameters, Degenerate, InternalCheckError, SingularPivot
 from .exactnum import exact_int, ratio_str
 from .index import ind_plus_seifert_qhs, r_invariant
@@ -455,13 +455,15 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
     # compactness comparisons, exactly as displayed in the minimum set:
     # with a, m > 0, p_1 = d/a < 1/m iff d m < a
     comparisons = [("p_1 < 1/d", d), ("p_1 < 1/p", p), ("p_1 < 1/q", q), (f"p_1 < 1/{a3}", a3)]
-    comparisons += [(f"p_1 < 1/(pq(pq n_{i} - d))", pq * (pq * n_i - d)) for i, n_i in enumerate(n_list[:-1], 1)]
+    # member n_i bounds tau by its Seifert bound 1/max(pq(pq n_i - d), d), and
+    # "surgery valid" gives pq(pq n_i - d) > pq n_i > d, so the bound is 1/(pq(pq n_i - d))
+    for i, n_i in enumerate(n_list[:-1], 1):
+        comparisons.append((f"p_1 < 1/(pq(pq n_{i} - d))", seifert_bound(pq * (pq * n_i - d), d)[1]))
     formula = f"exact comparison, p_1 = {p1}"
     for name, m in comparisons:
         lines.add(name, formula, f"1/{m}" if m > 1 else "1", d * m < a)
 
-    # member n_i bounds tau by 1/max(pq(pq n_i - d), d), and "surgery valid"
-    # gives pq(pq n_i - d) > pq n_i > d, so tau_hat >= 1/top, the least bound but 1/d
+    # tau_hat >= 1/top, the least of those bounds but 1/d
     top = max(m for _, m in comparisons[1:])
     margin = Fraction(a - d * top, a * top)
     lines.add("p_1 < tau_hat", f"margin tau_hat - p_1 with tau_hat >= {Fraction(1, top)}", margin, d * top < a)
@@ -474,7 +476,7 @@ def check_sfqhs_family(p: int, q: int, d: int, n_list) -> ObstructionReport:
             "odd torsion of the relative second cohomology derived from: boundary "
             "components are Z/2 homology spheres (p, q, d, pq n_i - d all odd)"
         )
-        verdict = sfqhs_reducible_count(p, q, d, n_last, torsion_odd=True)
+        verdict = sfqhs_reducible_count(p, q, d, n_last)
         lines.add(
             "reducible restriction class",
             "d^2 = l3 a + (d k + a l2)^2 forces (k, l2, l3) = (1, 0, 0)",

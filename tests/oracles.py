@@ -15,6 +15,15 @@ here share none of that code:
   the field inverses 1/(zeta^m - 1), each computed once per (a, m);
 * :func:`float_oracle_sum` -- the sum in mpmath floating point.
 
+A value of the Q(zeta_a) route that is not rational raises
+:class:`NonRational`, an internal-check failure of the tests' own.
+
+:func:`flat_su2_reps` enumerates the irreducible flat SU(2) connections
+of a Brieskorn sphere with their Chern-Simons values
+(:func:`brieskorn_cs`), and :func:`brieskorn_signature` counts the
+signature of its Milnor fiber; both are integer-only, share no code, and
+check each other through Casson's invariant, #R* = -sigma/4.
+
 :func:`leibniz_det` is the oracle for the exact determinants
 (:func:`gaugecert.matutil.det_int`, the leading minors and the Alexander
 polynomial): the permutation expansion over Z[t], which shares nothing
@@ -33,8 +42,8 @@ from __future__ import annotations
 import functools
 import os
 from fractions import Fraction
-from itertools import permutations
-from math import gcd, lcm
+from itertools import permutations, product
+from math import gcd, lcm, prod
 from typing import Sequence
 
 import mpmath
@@ -45,10 +54,13 @@ from gaugecert import (
     GramForm,
     InternalCheckError,
     LaurentPoly,
-    NonRational,
     NoSolution,
 )
 from gaugecert.exactnum import inverse_mod, poly_divmod
+
+
+class NonRational(InternalCheckError):
+    """A cyclotomic value expected to be rational had nonzero higher coefficients."""
 
 
 def sawtooth_convolution(a: int, c: int, m: int) -> int:
@@ -241,5 +253,55 @@ def as_dict(poly: LaurentPoly) -> dict[int, int]:
 
 
 def pairing(G: GramForm, x, y) -> Fraction:
-    """x . y for the form G, summed over its (rational) gram matrix."""
-    return sum((xi * g * yj for xi, row in zip(x, G.gram) for g, yj in zip(row, y)), Fraction(0))
+    """x . y for the form G: x . (rows y) over its integer rows, divided by the scale."""
+    return Fraction(sum(xi * r * yj for xi, row in zip(x, G.rows) for r, yj in zip(row, y)), G.scale)
+
+
+def flat_su2_reps(a1: int, a2: int, a3: int) -> list[tuple[tuple[int, int, int], Fraction]]:
+    """The irreducible flat SU(2) connections on the Brieskorn sphere
+    Sigma(a1, a2, a3), pairwise coprime a_i >= 2, each as ((l1, l2, l3), cs)
+    with cs its Chern-Simons value in (-1, 0], in integers only.
+
+    pi_1 = <x_i, h | h central, x_i^a_i h^b_i = 1, x1 x2 x3 = 1> with
+    sum b_i a/a_i = 1, a = a1 a2 a3 (Fintushel-Stern, Proc. LMS 61, 1990).
+    A representation sends h to eps = +-1 and x_i to a conjugate of
+    exp(i pi l_i/a_i), 0 < l_i < a_i, (-1)^l_i = eps^b_i; one class exists
+    iff the spherical triangle inequalities hold strictly, which times a/pi
+    read |t1 - t2| < t3 < min(t1 + t2, 2a - t1 - t2) for t_i = l_i a/a_i.
+    Its value is -e^2/(4a) mod 1 for e = t1 + t2 + t3 (:func:`brieskorn_cs`).
+    """
+    moduli = (a1, a2, a3)
+    a = a1 * a2 * a3
+    b = crt_solve(moduli)
+    reps = []
+    for eps in (1, -1):
+        # l_i is even, or has the parity of b_i when h goes to -1
+        ranges = [range(2 if eps == 1 or bi % 2 == 0 else 1, ai, 2) for ai, bi in zip(moduli, b)]
+        for l in product(*ranges):
+            t1, t2, t3 = (li * (a // ai) for li, ai in zip(l, moduli))
+            if abs(t1 - t2) < t3 < min(t1 + t2, 2 * a - t1 - t2):
+                reps.append((l, brieskorn_cs(moduli, l)))
+    return reps
+
+
+def brieskorn_cs(moduli: Sequence[int], l: Sequence[int], signs: Sequence[int] = (1, 1, 1)) -> Fraction:
+    """-e^2/(4a) mod 1, in (-1, 0], for e = sum signs_i l_i a/a_i and a the
+    product of the moduli: the Chern-Simons value of the connection l."""
+    a = prod(moduli)
+    e = sum(si * li * (a // ai) for si, li, ai in zip(signs, l, moduli))
+    return Fraction(-(e * e % (4 * a)), 4 * a)
+
+
+def brieskorn_signature(p: int, q: int, r: int) -> int:
+    """The signature of the Milnor fiber of x^p + y^q + z^r (Brieskorn,
+    Invent. Math. 2, 1966): the count of 0 < i < p, 0 < j < q, 0 < k < r
+    with i/p + j/q + k/r in (0, 1) mod 2, minus the count with it in (1, 2)
+    mod 2.  Times a = pqr the sum is an integer s, never a multiple of a
+    for pairwise coprime p, q, r, and s mod 2a < a decides the sign."""
+    a = p * q * r
+    return sum(
+        1 if (i * q * r + j * p * r + k * p * q) % (2 * a) < a else -1
+        for i in range(1, p)
+        for j in range(1, q)
+        for k in range(1, r)
+    )

@@ -227,7 +227,8 @@ def test_exit_code_malformed():
         assert "Traceback" not in r.stderr and "'seifert_matrix'" in r.stderr
     r = run("tau-bound", "--denominator", "0")
     assert r.returncode == 2 and "denominator must be a positive integer" in r.stderr
-    # p = 1 passes "parameters positive odd"; the torus knot's refusal names p
+    # p, q < 2 is refused before any report line (T(1, q) is the unknot, no torus
+    # knot), by the torus knot's refusal naming p; an even p gets an Inconclusive report
     r = run("check-family", "1", "3", "1", "2,4")
     assert r.returncode == 2 and r.stdout == ""
     assert "Traceback" not in r.stderr and "p = 1" in r.stderr

@@ -30,15 +30,17 @@ from gaugecert import (
     check_sfqhs_family,
     cot_cot_sin2_sum,
     cyclotomic_poly,
+    denominator_bound,
     detect_orthogonal_split,
     hj_expand,
+    lens_bound,
     lt_signature,
     meridian_holonomy,
     nondegenerate_at,
     nz_closed_form,
     rho_lens,
+    seifert_bound,
     sfqhs_reducible_count,
-    tau_lower_from_denominator,
     torus_knot_surgery,
 )
 from gaugecert.exactnum import euler_phi
@@ -107,10 +109,13 @@ CASES = {
     "lt_signature b": (lambda x: lt_signature(V, 5, x), 1, "b"),
     "nondegenerate_at a": (lambda x: nondegenerate_at(P, x, 1), 5, "a"),
     "nondegenerate_at b": (lambda x: nondegenerate_at(P, 5, x), 1, "b"),
-    "tau_lower_from_denominator": (tau_lower_from_denominator, 1, "denominator"),
+    "denominator_bound": (denominator_bound, 1, "denominator"),
+    "lens_bound": (lens_bound, 5, "a"),
+    "seifert_bound a": (lambda x: seifert_bound(x, 7), 1245, "a"),
+    "seifert_bound d": (lambda x: seifert_bound(1245, x), 7, "d"),
     **{
         f"sfqhs_reducible_count {name}": (
-            lambda x, i=i: sfqhs_reducible_count(*_put((3, 5, 7, 48), i, x), torsion_odd=True),
+            lambda x, i=i: sfqhs_reducible_count(*_put((3, 5, 7, 48), i, x)),
             (3, 5, 7, 48)[i],
             name,
         )

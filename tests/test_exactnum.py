@@ -15,7 +15,6 @@ from gaugecert import (
     BadParameters,
     CycloElement,
     InternalCheckError,
-    NonRational,
     NoSolution,
     cot_cot_sin2_sum,
     cyclotomic_poly,
@@ -26,6 +25,7 @@ from gaugecert.lattice import _crt3
 
 from oracles import (
     ORACLE_PREC_ENV,
+    NonRational,
     crt_solve,
     cyclo_make_cot_cot_sin2,
     float_oracle_sum,

@@ -18,7 +18,9 @@ output must stay byte identical; the call counts pin
 that each knotted strand's signature, which also decides its
 nondegeneracy, and each strand's cotangent sum are computed once, that
 the knotted reports build no element of Z[zeta_a], and that a check-fs
-report is built once, from one Strand per strand and no TauBound."""
+report is built once, from one Strand per strand.  The tau-bound reports
+cover each Seifert branch (d > a and d = 1), the text form, and the
+least denominator and lens order."""
 
 import json
 from pathlib import Path
@@ -26,7 +28,6 @@ from pathlib import Path
 import pytest
 
 import gaugecert.cli as cli
-import gaugecert.cstau as cstau
 import gaugecert.lattice as lattice
 import gaugecert.lens as lens
 import gaugecert.obstruct as obstruct
@@ -235,11 +236,11 @@ def test_check_fs_goldens_build_no_lattice(capsys, monkeypatch):
 
 # check-fs reads every strand once: one report per check (check_fintushel_stern
 # builds no second one), one Strand per strand (a reversed orientation is a sign,
-# not a rebuilt strand), and its tau bounds are integer pairs, not TauBounds
+# not a rebuilt strand)
 def test_check_fs_goldens_read_each_strand_once(capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     built = []
-    for cls in (obstruct.ObstructionReport, obstruct.Strand, cstau.TauBound):
+    for cls in (obstruct.ObstructionReport, obstruct.Strand):
         init = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self, init=init: built.append(type(self)) or init(self))
     reoriented = 0
@@ -254,5 +255,4 @@ def test_check_fs_goldens_read_each_strand_once(capsys, monkeypatch):
         reoriented += "orientation reversed" in capsys.readouterr().out
         assert built.count(obstruct.ObstructionReport) == 1, argv
         assert built.count(obstruct.Strand) == n, argv
-        assert cstau.TauBound not in built, argv
     assert reoriented == 8

@@ -120,8 +120,9 @@ def test_gram_validation_matches_definition():
                 GramForm(rank, gram, scale)
             continue
         G = GramForm(rank, gram, scale)
-        assert (G.gram, G.rows) == expected
-        assert [list(map(type, row)) for row in G.gram] == [list(map(type, row)) for row in expected[0]]
+        # the form is kept as scale * gram, in ints, and rows / scale gives each entry back
+        assert (G.rows, G.scale) == (expected[1], scale)
+        assert tuple(tuple(Fraction(x, G.scale) for x in row) for row in G.rows) == expected[0]
         assert all(type(x) is int for row in G.rows for x in row)
     # symmetric or not, integral or not, and int entries mixed with Fractions
     assert len(seen) == 5 and min(seen.values()) > 150, seen
@@ -129,10 +130,10 @@ def test_gram_validation_matches_definition():
 
 def test_plumbing_examples():
     g3 = plumbing_gram(hj_expand(3, 1))
-    assert g3.gram == ((-3,),)
+    assert (g3.rows, g3.scale) == (((-3,),), 1)
     assert gram_determinant(g3) == -3
     g72 = plumbing_gram(hj_expand(7, 2))
-    assert g72.gram == ((-4, 1), (1, -2))
+    assert (g72.rows, g72.scale) == (((-4, 1), (1, -2)), 1)
     assert gram_determinant(g72) == 7
     assert abs(gram_determinant(plumbing_gram(hj_expand(11, 2)))) == 11
 
@@ -234,7 +235,7 @@ def _ce_by_definition(G, e, restrictions):
     nonzero coordinate positive.  Returns the sorted classes and a count of
     how each one's sign was chosen."""
     n = G.rank
-    A = [[-Fraction(v) for v in row] for row in G.gram]
+    A = [[-Fraction(v, G.scale) for v in row] for row in G.rows]
     S = [[int(G.scale * v) for v in row] for row in A]  # scale * A, integral
 
     def norm(x):  # scale * x.Ax
@@ -351,7 +352,7 @@ def test_enumeration_matches_bruteforce_scaled(scale):
     # against leading minors of scale * gram
     fractional = 0
     for G, P in _scaled_problems(scale):
-        fractional += any(x.denominator > 1 for row in G.gram for x in row)
+        fractional += any(x % G.scale for row in G.rows for x in row)
         if P is not None:
             assert enumerate_C_e(P) == enumerate_C_e_bruteforce(P)
     assert fractional > 40
@@ -479,10 +480,10 @@ def test_plumbing_split_with_unimodular_block():
 
 
 def test_reducible_count():
-    v = sfqhs_reducible_count(3, 5, 7, 6, torsion_odd=True)
+    v = sfqhs_reducible_count(3, 5, 7, 6)
     assert v.solutions == ((1, 0, 0),)
     assert v.unique_witness and v.count_parity == "odd"
-    v48 = sfqhs_reducible_count(3, 5, 7, 48, torsion_odd=True)
+    v48 = sfqhs_reducible_count(3, 5, 7, 48)
     assert v48.unique_witness
     # stability: a scan over every k < a that meets the congruences and a
     # wider l2 window (|d k + a l2| <= d forces -d <= l2 <= 0) finds the same
@@ -502,16 +503,14 @@ def test_reducible_count():
 
 def test_reducible_count_guards():
     with pytest.raises(HypothesisFailed):
-        sfqhs_reducible_count(3, 5, 7, 0, torsion_odd=True)
+        sfqhs_reducible_count(3, 5, 7, 0)
     with pytest.raises(HypothesisFailed):
-        sfqhs_reducible_count(3, 5, 6, 10, torsion_odd=True)
+        sfqhs_reducible_count(3, 5, 6, 10)
     with pytest.raises(HypothesisFailed):
-        sfqhs_reducible_count(3, 9, 7, 6, torsion_odd=True)
-    with pytest.raises(HypothesisFailed):
-        sfqhs_reducible_count(3, 5, 7, 6, torsion_odd=False)
+        sfqhs_reducible_count(3, 9, 7, 6)
     # a <= d^2 guard: d large relative to pq n - d
     with pytest.raises(HypothesisFailed):
-        sfqhs_reducible_count(3, 5, 17, 2, torsion_odd=True)
+        sfqhs_reducible_count(3, 5, 17, 2)
 
 
 def test_reducible_count_grid():
@@ -522,4 +521,4 @@ def test_reducible_count_grid():
             a = p * q * (p * q * n - d)
             if a <= d * d:
                 continue
-            assert sfqhs_reducible_count(p, q, d, n, torsion_odd=True).unique_witness
+            assert sfqhs_reducible_count(p, q, d, n).unique_witness

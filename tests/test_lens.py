@@ -10,9 +10,9 @@ from gaugecert import (
     BadParameters,
     LensSpace,
     cot_cot_sin2_sum,
+    lens_bound,
     nz_closed_form,
     rho_lens,
-    tau_lower_lens,
 )
 
 
@@ -20,7 +20,6 @@ def test_lens_normalization():
     L = LensSpace(11, -2)
     assert (L.a, L.b) == (11, 9)
     assert LensSpace(5, 7).b == 2
-    assert L.reversed() == LensSpace(11, 2)
     with pytest.raises(BadParameters):
         LensSpace(6, 3)
     with pytest.raises(BadParameters):
@@ -69,7 +68,7 @@ def test_nz_identity_small_grid():
 
 def test_cs_values():
     # Chern-Simons values on L(a, b) mod 4 lie in (4/a)Z, so tau >= 4/a
-    assert tau_lower_lens(LensSpace(2, 1)).value == 2
-    assert tau_lower_lens(LensSpace(11, -2)).value == Fraction(4, 11)
-    assert tau_lower_lens(LensSpace(3, 1)).value == Fraction(4, 3)
-    assert tau_lower_lens(LensSpace(7, 2)).value == Fraction(4, 7)
+    assert lens_bound(LensSpace(2, 1).a) == (4, 2)
+    assert lens_bound(LensSpace(11, -2).a) == (4, 11)
+    assert lens_bound(LensSpace(3, 1).a) == (4, 3)
+    assert lens_bound(LensSpace(7, 2).a) == (4, 7)
